@@ -18,6 +18,10 @@
 //!   interpreter — the fast path) or [`SocExecutor`] (an [`IpArray`] of M
 //!   replicated control IPs behind the simulated bridge, watched by the
 //!   PR 1 [`Watchdog`] so a wedged IP degrades only its shard);
+//! * results land in an unbounded channel read by
+//!   [`ShardedEngine::poll_results`]; a consumer may register its thread
+//!   with [`ShardedEngine::ring_on_results`] and is then unparked once per
+//!   executed batch, so it needs no timer to see them;
 //! * [`FleetReport`] merges per-shard stats, health, and simulated busy
 //!   time so Fig. 5c / Table I numbers stay derivable per shard and
 //!   fleet-wide (see [`crate::throughput::FleetThroughput`]).
@@ -45,8 +49,8 @@ use reads_soc::multi::{batch_makespan, IpArray};
 use reads_soc::node::FrameTiming;
 use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// What to do when a shard's queue is full.
@@ -735,12 +739,25 @@ pub struct TenantSnapshot {
 }
 
 /// Shared live-state board between shard workers and observers: per-tenant
-/// snapshots (hot-swap drivers poll these) and per-shard drift scoreboards
-/// (the adaptation supervisor polls those).
+/// snapshots (hot-swap drivers poll these), per-shard drift scoreboards
+/// (the adaptation supervisor polls those), and the results doorbell.
 #[derive(Default)]
 struct EngineHub {
     tenants: Mutex<BTreeMap<(usize, TenantId), TenantSnapshot>>,
     drift: Mutex<BTreeMap<usize, DriftSummary>>,
+    /// The thread [`ShardedEngine::ring_on_results`] registered. It lives
+    /// here because every worker incarnation — first spawn or supervisor
+    /// respawn, any constructor — already carries this hub.
+    doorbell: OnceLock<Thread>,
+}
+
+impl EngineHub {
+    /// Unparks the registered consumer, if any (one load when none is).
+    fn ring(&self) {
+        if let Some(waiter) = self.doorbell.get() {
+            waiter.unpark();
+        }
+    }
 }
 
 type StatsHub = Arc<EngineHub>;
@@ -1538,6 +1555,24 @@ impl ShardedEngine {
         }
     }
 
+    /// Registers `waiter` as the consumer of this engine's results: every
+    /// worker unparks it once per executed batch, *after* the batch's
+    /// results are in the channel [`ShardedEngine::poll_results`] reads.
+    /// The unpark token is sticky, so a consumer that polls and then
+    /// [`std::thread::park`]s cannot miss a batch that landed in between —
+    /// it needs no timer to see results. Without a registration results
+    /// simply wait in the channel until somebody polls.
+    ///
+    /// # Panics
+    /// Panics on a second registration: the results channel has one
+    /// consumer, and ringing two threads would hide which one polls.
+    pub fn ring_on_results(&self, waiter: Thread) {
+        assert!(
+            self.hub.doorbell.set(waiter).is_ok(),
+            "results doorbell already registered"
+        );
+    }
+
     /// Results produced so far without blocking (the engine keeps running).
     pub fn poll_results(&self) -> Vec<FrameResult> {
         std::iter::from_fn(|| self.results_rx.try_recv().ok()).collect()
@@ -1847,6 +1882,8 @@ fn run_tenant_batch(
             }
         }
     }
+    // Once per batch, after its results are in the channel.
+    ctx.hub.ring();
     publish_slot(ctx, state.shard, slot, state.tenants.get(&slot.id));
     if wedge {
         let (_, counters) = slot.executor.health();

@@ -23,7 +23,16 @@
 //!   [`EthernetModel::frame_ingest_time`] (the *same* model the
 //!   in-process pipeline uses — no duplicated bandwidth constants),
 //!   submitted to the engine, and acked back to the producer that
-//!   completed them.
+//!   completed them. It waits at exactly one point: a thread park at the
+//!   bottom of a turn (burst of events → engine results → fan-out →
+//!   housekeeping) that found nothing to do. Both inputs ring it with
+//!   [`Thread::unpark`] — reactors after every event they hand over (and
+//!   after closing their sender at shutdown), engine workers once per
+//!   batch after its results are in the result channel
+//!   ([`ShardedEngine::ring_on_results`]) — and the token is sticky, so
+//!   no ring is lost and no timer sits between a frame and its verdict;
+//!   the park's timeout only paces idle housekeeping (fleet heartbeat,
+//!   session expiry, gossip, externally stored flags).
 //! * Verdicts stream back through a bounded per-connection
 //!   [`Outbound`] ring drained by the owning reactor with vectored
 //!   writes — fan-out is *enqueue + write-interest*, the payload encoded
@@ -66,9 +75,9 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// What to do when a subscriber's outbound queue is full.
@@ -170,7 +179,15 @@ pub struct GatewayReport {
 pub const MAX_REACTORS: usize = 64;
 
 const READ_CHUNK: usize = 64 * 1024;
-const HUB_POLL: Duration = Duration::from_millis(2);
+/// Idle housekeeping period of the hub thread: how long it parks when a
+/// turn found neither an event nor a result. Nothing on the frame →
+/// verdict path waits for it to expire — reactors and engine workers
+/// unpark the hub — it only paces what no doorbell announces: the fleet
+/// heartbeat, session expiry, gossip, and externally stored
+/// shutdown/kill flags.
+const HUB_IDLE: Duration = Duration::from_millis(2);
+/// Events handled per hub turn before it looks at engine results again.
+const EVENT_BURST: usize = 256;
 const EVENT_QUEUE: usize = 64 * 1024;
 /// Idle park time in the poller — bounds how late a reactor notices the
 /// shutdown/kill flags when nobody wakes it explicitly.
@@ -189,7 +206,7 @@ const READ_FAIR_BUDGET: usize = 4 * READ_CHUNK;
 /// severing what remains (was the writer threads' write timeout).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Parked-session expiry is a full scan; at storm scale it cannot run
-/// every 2 ms hub tick.
+/// on every hub turn.
 const EXPIRE_EVERY: Duration = Duration::from_millis(250);
 
 const TOKEN_WAKER: u64 = u64::MAX;
@@ -235,6 +252,32 @@ enum Event {
     /// Several events from one socket read, delivered in one channel
     /// wakeup (never nested).
     Batch(Vec<Event>),
+}
+
+/// A reactor's end of the event channel. The hub thread does not block in
+/// the channel — it parks — so every hand-over rings it: after a send,
+/// and after the sender is dropped at shutdown, so the `Disconnected`
+/// that ends the hub's event loop is noticed as promptly as an event.
+struct EventTx {
+    tx: SyncSender<Event>,
+    hub: Thread,
+}
+
+impl EventTx {
+    /// Queues `ev` (blocking while the queue is full — that is the ingest
+    /// backpressure) and wakes the hub. `Err` means the hub is gone.
+    fn send(&self, ev: Event) -> Result<(), mpsc::SendError<Event>> {
+        self.tx.send(ev)?;
+        self.hub.unpark();
+        Ok(())
+    }
+
+    /// Drops the sender, *then* wakes the hub: it must find the channel
+    /// disconnected when it looks.
+    fn close(self) {
+        drop(self.tx);
+        self.hub.unpark();
+    }
 }
 
 /// Hub-side view of a connection: where its socket lives (which
@@ -808,7 +851,7 @@ impl HubGateway {
             });
             inboxes.push((cmd_rx, wake_rx));
         }
-        let mut built: Vec<Reactor> = Vec::with_capacity(n_reactors);
+        let mut polled = Vec::with_capacity(n_reactors);
         let mut listener_slot = Some(listener);
         for (i, (cmd_rx, wake_rx)) in inboxes.into_iter().enumerate() {
             let mut poller = Poller::new()?;
@@ -820,39 +863,12 @@ impl HubGateway {
             } else {
                 None
             };
-            built.push(Reactor {
-                idx: i,
-                poller,
-                wake_rx,
-                cmd_rx,
-                event_tx: Some(event_tx.clone()),
-                conns: HashMap::new(),
-                listener,
-                next_conn: 0,
-                ports: ports.clone(),
-                shared: Arc::clone(&ports[i].shared),
-                pool: pool.clone(),
-                outbound_queue: cfg.outbound_queue,
-                flag: Arc::clone(&flag),
-                kill: Arc::clone(&kill),
-                scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
-            });
+            polled.push((poller, wake_rx, cmd_rx, listener));
         }
-        // The hub must see Disconnected once every reactor has observed
-        // the shutdown flag and dropped its sender, so the constructor's
-        // copy dies here.
-        drop(event_tx);
 
-        let reactors: Vec<JoinHandle<()>> = built
-            .into_iter()
-            .map(|r| {
-                thread::Builder::new()
-                    .name(format!("reads-net-io{}", r.idx))
-                    .spawn(move || r.run())
-                    .expect("spawn reactor")
-            })
-            .collect();
-
+        // The hub spawns first: every reactor's event sender carries the
+        // hub's thread handle, because a send must ring it.
+        let outbound_queue = cfg.outbound_queue;
         let hub = {
             let flag = Arc::clone(&flag);
             let kill = Arc::clone(&kill);
@@ -867,6 +883,41 @@ impl HubGateway {
                 })
                 .expect("spawn hub")
         };
+
+        let reactors: Vec<JoinHandle<()>> = polled
+            .into_iter()
+            .enumerate()
+            .map(|(idx, (poller, wake_rx, cmd_rx, listener))| {
+                let r = Reactor {
+                    idx,
+                    poller,
+                    wake_rx,
+                    cmd_rx,
+                    event_tx: Some(EventTx {
+                        tx: event_tx.clone(),
+                        hub: hub.thread().clone(),
+                    }),
+                    conns: HashMap::new(),
+                    listener,
+                    next_conn: 0,
+                    ports: ports.clone(),
+                    shared: Arc::clone(&ports[idx].shared),
+                    pool: pool.clone(),
+                    outbound_queue,
+                    flag: Arc::clone(&flag),
+                    kill: Arc::clone(&kill),
+                    scratch: vec![0u8; READ_CHUNK].into_boxed_slice(),
+                };
+                thread::Builder::new()
+                    .name(format!("reads-net-io{idx}"))
+                    .spawn(move || r.run())
+                    .expect("spawn reactor")
+            })
+            .collect();
+        // The hub must see Disconnected once every reactor has observed
+        // the shutdown flag and closed its sender, so the constructor's
+        // copy dies here.
+        drop(event_tx);
 
         Ok(GatewayHandle {
             addr: local,
@@ -915,6 +966,17 @@ impl GatewayHandle {
         self.shared.lock().expect("counters lock").1
     }
 
+    /// Wakes every thread that may be parked, so a freshly stored flag is
+    /// acted on now and not at the end of an idle period.
+    fn ring_all(&self) {
+        for p in &self.ports {
+            p.shared.waker.wake();
+        }
+        if let Some(h) = &self.hub {
+            h.thread().unpark();
+        }
+    }
+
     /// Graceful shutdown: stop accepting, drain in-flight frames through
     /// the engine, flush remaining verdicts through the reactors'
     /// draining phase, join every thread, and return the final report.
@@ -924,9 +986,7 @@ impl GatewayHandle {
     #[must_use]
     pub fn shutdown(mut self) -> GatewayReport {
         self.flag.store(true, Ordering::SeqCst);
-        for p in &self.ports {
-            p.shared.waker.wake();
-        }
+        self.ring_all();
         let report = self.report_rx.recv().expect("hub report");
         if let Some(h) = self.hub.take() {
             h.join().expect("hub panicked");
@@ -955,9 +1015,7 @@ impl GatewayHandle {
     pub fn kill(mut self) -> GatewayReport {
         self.kill.store(true, Ordering::SeqCst);
         self.flag.store(true, Ordering::SeqCst);
-        for p in &self.ports {
-            p.shared.waker.wake();
-        }
+        self.ring_all();
         let report = self.report_rx.recv().expect("hub report");
         if let Some(h) = self.hub.take() {
             h.join().expect("hub panicked");
@@ -998,9 +1056,9 @@ struct Reactor {
     poller: Poller,
     wake_rx: WakeRx,
     cmd_rx: Receiver<ReactorCmd>,
-    /// `Some` until the shutdown flag is observed; dropping it is what
+    /// `Some` until the shutdown flag is observed; closing it is what
     /// lets the hub's event loop see Disconnected and finalize.
-    event_tx: Option<SyncSender<Event>>,
+    event_tx: Option<EventTx>,
     conns: HashMap<u64, ConnIo>,
     /// Present on reactor 0 only — the accepting reactor.
     listener: Option<TcpListener>,
@@ -1069,7 +1127,9 @@ impl Reactor {
     /// the event sender so the hub can drain to Disconnected. Writes keep
     /// flowing — the drain command arrives later with the final verdicts.
     fn stop_reading(&mut self) {
-        self.event_tx = None;
+        if let Some(tx) = self.event_tx.take() {
+            tx.close();
+        }
         if let Some(l) = self.listener.take() {
             let _ = self.poller.deregister(fd_of(&l));
         }
@@ -1596,7 +1656,9 @@ fn hub_loop(
     let mut last_gossip = Instant::now();
     let mut last_expiry = Instant::now();
     let mut reactors_woken = false;
-    loop {
+    // Engine workers ring this thread once per batch of results.
+    engine.ring_on_results(thread::current());
+    'turns: loop {
         // SIGKILL-equivalent: stop mid-everything, events still queued.
         if kill.load(Ordering::SeqCst) {
             break;
@@ -1610,41 +1672,33 @@ fn hub_loop(
                 p.shared.waker.wake();
             }
         }
-        match events.recv_timeout(HUB_POLL) {
-            Ok(ev) => {
-                handle_event(
-                    ev,
-                    cfg,
-                    local,
-                    flag,
-                    &mut board,
-                    &mut assembler,
-                    &mut engine,
-                    &mut sim_ingest,
-                );
-                // Drain a bounded burst before looking at results again.
-                for _ in 0..256 {
-                    match events.try_recv() {
-                        Ok(ev) => handle_event(
-                            ev,
-                            cfg,
-                            local,
-                            flag,
-                            &mut board,
-                            &mut assembler,
-                            &mut engine,
-                            &mut sim_ingest,
-                        ),
-                        Err(_) => break,
-                    }
+        // One turn: a bounded burst of events, then whatever the engine
+        // has finished, then housekeeping; the park at the bottom is the
+        // only wait.
+        let mut busy = false;
+        for _ in 0..EVENT_BURST {
+            match events.try_recv() {
+                Ok(ev) => {
+                    busy = true;
+                    handle_event(
+                        ev,
+                        cfg,
+                        local,
+                        flag,
+                        &mut board,
+                        &mut assembler,
+                        &mut engine,
+                        &mut sim_ingest,
+                    );
                 }
+                Err(TryRecvError::Empty) => break,
+                // Every reactor has observed the shutdown flag and closed
+                // its sender, and the queue is fully drained: finalize.
+                Err(TryRecvError::Disconnected) => break 'turns,
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            // Every reactor has observed the shutdown flag and dropped
-            // its sender, and the queue is fully drained: finalize.
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
         let results = engine.poll_results();
+        busy |= !results.is_empty();
         board.fan_out(results, cfg.slow_consumer, cfg.resume_buffer);
         if last_expiry.elapsed() >= EXPIRE_EVERY {
             last_expiry = Instant::now();
@@ -1660,6 +1714,12 @@ fn hub_loop(
                 link.state
                     .publish_digest(link.gateway_id, board.session_digest());
             }
+        }
+        // Park only after a turn that did nothing. The unpark token is
+        // sticky: a ring that landed anywhere above makes this return at
+        // once, so an event or result can never wait out the period.
+        if !busy {
+            thread::park_timeout(HUB_IDLE);
         }
     }
 

@@ -518,7 +518,11 @@ impl Waker {
     /// Nudges the reactor out of [`Poller::wait`]. Idempotent until the
     /// reactor drains.
     pub fn wake(&self) {
-        if !self.armed.swap(true, Ordering::AcqRel) {
+        // SeqCst, paired with the store in `WakeRx::drain`: a waker that
+        // finds the flag still armed is ordered before the disarm, so
+        // whatever it published first (even a plain atomic flag) is seen
+        // by the reactor's pass after the drain.
+        if !self.armed.swap(true, Ordering::SeqCst) {
             // A full pipe means a wake is already deliverable; any other
             // failure means the reactor is gone — both are ignorable.
             let _ = retry_intr(|| (&*self.tx).write(&[1u8]));
@@ -534,11 +538,18 @@ impl WakeRx {
         self.rx.as_raw_fd()
     }
 
-    /// Consumes pending wake bytes and re-arms the waker. Disarm happens
-    /// *before* the drain so a concurrent [`Waker::wake`] can never be
-    /// lost — at worst it costs one spurious extra wakeup.
+    /// Consumes pending wake bytes, then disarms the waker — in that
+    /// order. Disarming first loses wakeups for good: a
+    /// [`Waker::wake`] landing between the disarm and the read re-arms
+    /// the flag and writes a byte that this very read consumes, leaving
+    /// the flag armed over an empty pipe, and every later wake is
+    /// swallowed as a duplicate. With the disarm last, the flag is never
+    /// armed over an empty pipe once `drain` returns. A wake that lands
+    /// between the read and the disarm writes nothing, so the caller must
+    /// look at everything a waker publishes (command inbox, dirty list,
+    /// flags) *after* `drain` returns and before it waits again; a wake
+    /// after the disarm costs at most one spurious wakeup.
     pub fn drain(&mut self) {
-        self.armed.store(false, Ordering::Release);
         let mut sink = [0u8; 64];
         loop {
             match retry_intr(|| (&self.rx).read(&mut sink)) {
@@ -547,6 +558,7 @@ impl WakeRx {
                 Err(_) => break, // WouldBlock: drained
             }
         }
+        self.armed.store(false, Ordering::SeqCst);
     }
 }
 
@@ -1098,6 +1110,61 @@ mod tests {
         evs.clear();
         poller.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
         assert!(evs.iter().any(|e| e.token == 7 && e.readable));
+    }
+
+    /// Regression for the lost wakeup: `drain` used to disarm and *then*
+    /// empty the pipe, so a wake landing in between left the flag armed
+    /// over an empty pipe and every later wake was swallowed. The drainer
+    /// here behaves like the reactor — it drains only when the poller
+    /// says readable — so a wedged waker shows as a wait that times out
+    /// while wakes are still raining in.
+    #[cfg(unix)]
+    #[test]
+    fn wakes_racing_drain_are_never_lost() {
+        const ROUNDS: usize = 100_000;
+        let (w, mut rx) = Waker::pair().unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(rx.as_raw_fd(), 7, Interest::READ).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let hammer = {
+            let (w, stop) = (w.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    w.wake();
+                }
+            })
+        };
+        let mut evs = Vec::new();
+        let mut wedged_at = None;
+        for round in 0..ROUNDS {
+            evs.clear();
+            poller.wait(&mut evs, Some(Duration::from_secs(1))).unwrap();
+            if evs.is_empty() {
+                wedged_at = Some(round);
+                break;
+            }
+            rx.drain();
+        }
+        // Stop the hammer before asserting, so a failure cannot leave it
+        // spinning under the rest of the suite.
+        stop.store(true, Ordering::Relaxed);
+        hammer.join().unwrap();
+        assert_eq!(
+            wedged_at, None,
+            "wakes swallowed: fd not readable under a hammering waker"
+        );
+        rx.drain();
+        evs.clear();
+        poller
+            .wait(&mut evs, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert!(evs.is_empty(), "drained waker is quiet");
+        w.wake();
+        poller.wait(&mut evs, Some(Duration::from_secs(2))).unwrap();
+        assert!(
+            evs.iter().any(|e| e.token == 7 && e.readable),
+            "one wake after the final drain must make the fd readable"
+        );
     }
 
     #[cfg(unix)]

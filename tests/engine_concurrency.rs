@@ -11,15 +11,20 @@
 //!   sheds precisely the overflow (proved with a barrier-held worker, not
 //!   sleeps);
 //! * one wedged shard degrades only itself — the other shards' frames all
-//!   complete (the PR 1 watchdog isolation property, now per shard).
+//!   complete (the PR 1 watchdog isolation property, now per shard);
+//! * the results doorbell: a consumer registered with `ring_on_results`
+//!   that sleeps on nothing else still collects every result, from the
+//!   single-model and the multi-tenant constructors, and an engine with
+//!   nobody registered produces the same results and reports.
 
 use reads::blm::hubs::MultiChainSource;
 use reads::blm::Standardizer;
 use reads::central::engine::{
-    BatchOutcome, DropPolicy, EngineConfig, NativeExecutor, ShardExecutor, ShardedEngine,
-    SocExecutor,
+    BatchOutcome, DropPolicy, EngineConfig, FrameResult, NativeExecutor, ShardExecutor,
+    ShardedEngine, SocExecutor,
 };
 use reads::central::resilience::{HealthState, WatchdogPolicy};
+use reads::central::{ModelRegistry, PlacementPlanner, ShardBudget};
 use reads::hls4ml::{convert, profile_model, Firmware, HlsConfig};
 use reads::nn::models;
 use reads::sim::SimDuration;
@@ -27,6 +32,7 @@ use reads::soc::node::FrameTiming;
 use reads::soc::HpsModel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn mlp_firmware(seed: u64) -> Firmware {
     let m = models::reads_mlp(seed);
@@ -228,4 +234,134 @@ fn wedged_shard_degrades_only_itself() {
         results.iter().all(|r| r.chain == 1),
         "only chain 1 survives"
     );
+}
+
+/// How long a doorbell-only consumer parks before it calls a ring lost.
+const RING_LOST: Duration = Duration::from_secs(20);
+
+/// Polls `engine` until `got` holds `want` results, sleeping *only* on the
+/// doorbell — the calling thread must be the one registered with
+/// `ring_on_results`. A park that runs out its (long) timeout means a
+/// batch's results sat in the channel and nobody rang.
+fn collect_by_doorbell(engine: &ShardedEngine, got: &mut Vec<FrameResult>, want: usize) {
+    loop {
+        got.extend(engine.poll_results());
+        if got.len() >= want {
+            return;
+        }
+        let parked = Instant::now();
+        std::thread::park_timeout(RING_LOST);
+        assert!(
+            parked.elapsed() < RING_LOST,
+            "doorbell never rang: {} of {want} results after {RING_LOST:?}",
+            got.len()
+        );
+    }
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("report serializes")
+}
+
+/// One frame in flight at a time, so each frame's results need their own
+/// ring and every batch is a batch of one — which makes the whole
+/// `ShardReport` (batch counts included) comparable between an engine
+/// whose consumer sleeps on the doorbell and one with nothing registered
+/// whose consumer spins on `poll_results`.
+#[test]
+fn doorbell_alone_delivers_every_result_and_changes_nothing() {
+    let fw = mlp_firmware(21);
+    let std = standardizer();
+    let stream = MultiChainSource::new(4, 31).ticks(8);
+    let run = |ring: bool| {
+        let mut engine = ShardedEngine::native(
+            &EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            },
+            &fw,
+            &HpsModel::default(),
+            &std,
+        );
+        if ring {
+            engine.ring_on_results(std::thread::current());
+        }
+        let mut got: Vec<FrameResult> = Vec::new();
+        for frame in stream.clone() {
+            assert!(engine.submit(frame));
+            let want = got.len() + 1;
+            if ring {
+                collect_by_doorbell(&engine, &mut got, want);
+            } else {
+                while got.len() < want {
+                    got.extend(engine.poll_results());
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let (rest, report) = engine.finish();
+        assert!(rest.is_empty(), "everything was collected while running");
+        (got, report)
+    };
+    let (rung, rung_report) = run(true);
+    let (polled, polled_report) = run(false);
+    assert_eq!(rung.len(), stream.len());
+    assert_eq!(json(&rung), json(&polled), "results differ");
+    assert_eq!(
+        json(&rung_report.shards),
+        json(&polled_report.shards),
+        "shard reports differ"
+    );
+    assert_eq!(rung_report.submitted, polled_report.submitted);
+    assert_eq!(
+        rung_report.dropped_backpressure,
+        polled_report.dropped_backpressure
+    );
+}
+
+/// `start_multi` workers carry the same hub: two tenants on two shards,
+/// a tick of each in flight, collected by the doorbell alone.
+#[test]
+fn doorbell_rings_for_every_tenant_of_a_multi_tenant_engine() {
+    let std = standardizer();
+    let mut registry = ModelRegistry::new();
+    registry.add_tenant(1, "mlp-a", 1, None).unwrap();
+    registry.add_tenant(2, "mlp-b", 1, None).unwrap();
+    registry.register_live(1, mlp_firmware(21)).unwrap();
+    registry.register_live(2, mlp_firmware(33)).unwrap();
+    let open = ShardBudget {
+        ip_aluts: u64::MAX / 4,
+        dsps: u64::MAX / 4,
+        m20k_blocks: u64::MAX / 4,
+    };
+    let plan = PlacementPlanner::new(open, 2).plan(&registry).unwrap();
+    let cfg = EngineConfig {
+        workers: 2,
+        batch: 2,
+        ..EngineConfig::default()
+    };
+    let mut engine =
+        ShardedEngine::start_multi(&cfg, &std, &registry, &plan, &HpsModel::default()).unwrap();
+    engine.ring_on_results(std::thread::current());
+
+    let mut source = MultiChainSource::new(2, 17);
+    let mut got: Vec<FrameResult> = Vec::new();
+    for _ in 0..8 {
+        for frame in source.tick() {
+            assert!(engine.submit_for(1, frame.clone()).unwrap());
+            assert!(engine.submit_for(2, frame).unwrap());
+        }
+        let want = got.len() + 4;
+        collect_by_doorbell(&engine, &mut got, want);
+    }
+    let (rest, report) = engine.finish();
+    assert!(rest.is_empty(), "everything was collected while running");
+    assert_eq!(report.processed(), 32);
+    for tenant in [1, 2] {
+        assert_eq!(
+            got.iter().filter(|r| r.tenant == tenant).count(),
+            16,
+            "tenant {tenant}"
+        );
+    }
 }

@@ -352,3 +352,58 @@ fn slow_consumer_disconnect_is_not_double_counted() {
          policy-severed subscriber must not be double counted"
     );
 }
+
+/// The verdict path has no timer on it: the engine's results ring the hub
+/// thread, which used to look at them only when a 2 ms poll expired. One
+/// frame at a time on an otherwise idle gateway, so nothing else can wake
+/// the hub early and hide a timer — before the doorbell the median here
+/// read ≈ 2.5 ms, with it ≈ 0.45 ms. Median only: a busy host may stall
+/// individual frames, not most of them.
+#[test]
+fn verdict_latency_is_not_timer_bound() {
+    let fw = build_firmware();
+    let std = standardizer();
+    let engine = ShardedEngine::native(&EngineConfig::default(), &fw, &HpsModel::default(), &std);
+    let handle = HubGateway::start("127.0.0.1:0", GatewayConfig::default(), engine)
+        .expect("bind loopback gateway");
+    let addr = handle.local_addr();
+
+    let mut subscriber =
+        GatewayClient::connect(addr, Role::Subscriber).expect("subscriber connects");
+    while handle.sessions() < 1 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    std::thread::sleep(Duration::from_millis(25));
+    let mut producer = GatewayClient::connect(addr, Role::Producer).expect("producer connects");
+
+    let frames = 50usize;
+    let period = Duration::from_millis(5);
+    let mut source = MultiChainSource::new(1, 5);
+    let mut took: Vec<Duration> = Vec::with_capacity(frames);
+    for _ in 0..frames {
+        let cf = source.tick().pop().expect("one chain, one frame");
+        let sent = std::time::Instant::now();
+        producer.send_frame(&cf).expect("send frame");
+        let v = subscriber
+            .recv_verdict(Duration::from_secs(10))
+            .expect("subscriber stream healthy")
+            .expect("verdict before timeout");
+        took.push(sent.elapsed());
+        assert_eq!((v.chain, v.verdict.sequence), (cf.chain, cf.sequence));
+        std::thread::sleep(period.saturating_sub(sent.elapsed()));
+    }
+    took.sort();
+    let median = took[frames / 2];
+
+    drop(producer);
+    drop(subscriber);
+    let report = handle.shutdown();
+    assert_eq!(report.fleet.processed() as usize, frames);
+    assert!(
+        median < Duration::from_micros(1500),
+        "median send→verdict {median:?} over {frames} paced frames: something on the verdict \
+         path is waiting for a timer (fastest {:?}, slowest {:?})",
+        took[0],
+        took[frames - 1]
+    );
+}
