@@ -29,6 +29,9 @@
 //! * batch monotonicity at every density — compiled batch=8 throughput is
 //!   at least 0.9× of batch=1 on the same frames (batch-major lanes must
 //!   amortise weight loads, never regress);
+//! * density monotonicity at batch 1 — compiled U-Net ns/frame at every
+//!   density below 1 is at most 1.1× the dense figure (pruning never
+//!   slows the one-frame-per-tick path);
 //! * the headline U-Net speedup (best same-firmware ratio across the
 //!   density sweep) is at least `MIN_SPEEDUP` (default 3; CI kernel-matrix
 //!   floor is 6);
@@ -318,6 +321,18 @@ fn main() {
                  batch=1 {b1:.0} fps"
             );
         }
+    }
+    // Density monotonicity at batch 1, the deployment point: pruning may
+    // never make the real-time path slower than the dense firmware.
+    let b1_ns = |density: f64| 1e9 / fps_at(&rows, "unet", "compiled", density, 1);
+    let dense_b1 = b1_ns(1.0);
+    for &density in DENSITIES.iter().filter(|&&d| d < 1.0) {
+        let ns = b1_ns(density);
+        assert!(
+            ns <= 1.1 * dense_b1,
+            "unet d={density}: batch=1 {ns:.0} ns/frame above 1.1x the dense batch=1 \
+             {dense_b1:.0} ns/frame"
+        );
     }
     assert!(
         unet_speedup >= min_speedup,

@@ -13,8 +13,18 @@
 //! Both fusions reorder only *when* an element is computed, never the
 //! arithmetic that computes it, so outputs and per-node statistics match
 //! the unfused engine and the interpreter bit for bit.
+//!
+//! A single frame (`L = 1`) has no frames to spread across lanes, but a
+//! conv has positions: narrow conv and conv→pool steps run [`LANES`]
+//! output positions at a time through the layer's `rows8` kernel (CSR
+//! lanes when the layer is sparse), gathering each position's im2col
+//! window into its own lane. Every output is still computed exactly once
+//! from the same exact integer products, so this too is reordering only.
+//! The positions left over after the last whole block, and the wide path,
+//! run one at a time through [`conv_at`].
 
 use super::{call_rows, CDense};
+use crate::compiled::LANES;
 use reads_fixed::Requant;
 use reads_tensor::activ::SigmoidTable;
 
@@ -78,7 +88,58 @@ pub(crate) fn conv_at<const L: usize>(
     }
 }
 
-/// Unfused conv1d over all positions.
+/// Gathers the im2col windows of [`LANES`] conv output positions into the
+/// lane-interleaved layout the `rows8` kernels read: lane `l` is output
+/// position `first + l·stride`, and `win[(tap·in_ch + ch)·LANES + l]` is
+/// the input at `first + l·stride − k/2 + tap`, zero outside the frame.
+#[inline(always)]
+fn gather_positions(
+    x: &[i32],
+    k: usize,
+    in_ch: usize,
+    in_len: usize,
+    first: usize,
+    stride: usize,
+    win: &mut [i32],
+) {
+    for l in 0..LANES {
+        let pos = first + l * stride;
+        for (tap, col) in win.chunks_exact_mut(in_ch * LANES).enumerate() {
+            match (pos + tap).checked_sub(k / 2).filter(|&i| i < in_len) {
+                Some(i) => {
+                    for (w, &v) in col
+                        .chunks_exact_mut(LANES)
+                        .zip(&x[i * in_ch..(i + 1) * in_ch])
+                    {
+                        w[l] = v;
+                    }
+                }
+                None => {
+                    for w in col.chunks_exact_mut(LANES) {
+                        w[l] = 0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Writes a `rows × LANES` block back as position-major rows, lane `l`
+/// to position `first + l·stride` — the inverse of [`gather_positions`]'
+/// lane mapping.
+#[inline(always)]
+fn scatter_positions(blk: &[i64], rows: usize, first: usize, stride: usize, dst: &mut [i64]) {
+    for l in 0..LANES {
+        let pos = first + l * stride;
+        for (r, v) in dst[pos * rows..(pos + 1) * rows].iter_mut().enumerate() {
+            *v = blk[r * LANES + l];
+        }
+    }
+}
+
+/// Unfused conv1d over all positions. A narrow single frame runs its
+/// positions [`LANES`] at a time: each block goes through `rows8` into
+/// `blk` (`rows × LANES`) and is transposed into `dst`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv<const L: usize>(
@@ -91,10 +152,23 @@ pub(crate) fn run_conv<const L: usize>(
     x32: &[i32],
     win64: &mut [i64],
     win32: &mut [i32],
+    blk: &mut [i64],
     dst: &mut [i64],
     ovf: &mut u64,
 ) {
-    for (pos, out) in dst.chunks_exact_mut(d.rows * L).enumerate() {
+    let rows = d.rows;
+    let mut tail = 0;
+    if L == 1 && d.narrow() {
+        tail = in_len - in_len % LANES;
+        let win = &mut win32[..k * in_ch * LANES];
+        let blk = &mut blk[..rows * LANES];
+        for base in (0..tail).step_by(LANES) {
+            gather_positions(x32, k, in_ch, in_len, base, 1, win);
+            call_rows::<LANES>(d, sig, &[], win, blk, ovf);
+            scatter_positions(blk, rows, base, 1, dst);
+        }
+    }
+    for (pos, out) in dst.chunks_exact_mut(rows * L).enumerate().skip(tail) {
         conv_at::<L>(
             d, sig, k, in_ch, in_len, x64, x32, win64, win32, pos, out, ovf,
         );
@@ -104,6 +178,12 @@ pub(crate) fn run_conv<const L: usize>(
 /// Fused conv1d → maxpool single pass. `dst` receives the pooled output
 /// (`(in_len / pool) × rows` positions); `conv_skip`, when present,
 /// receives the full conv output for a later concat.
+///
+/// A narrow single frame runs blocks of `LANES · pool` positions first:
+/// slot `off` of the `pool × rows × LANES` ring takes one `rows8` pass
+/// whose lane `l` is position `base + l·pool + off`, so pooled output
+/// `base/pool + l` is the max over lane `l` of every slot — the same ring
+/// read the batch lanes do.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv_pool<const L: usize>(
@@ -124,10 +204,38 @@ pub(crate) fn run_conv_pool<const L: usize>(
 ) {
     let ch = d.rows;
     let slot_n = ch * L;
+    let mut tail = 0;
+    if L == 1 && d.narrow() {
+        let span = LANES * pool;
+        tail = in_len - in_len % span;
+        let win = &mut win32[..k * in_ch * LANES];
+        for base in (0..tail).step_by(span) {
+            for off in 0..pool {
+                let slot = &mut rowtmp[off * ch * LANES..(off + 1) * ch * LANES];
+                gather_positions(x32, k, in_ch, in_len, base + off, pool, win);
+                call_rows::<LANES>(d, sig, &[], win, slot, ovf);
+                if let Some(skip) = conv_skip.as_deref_mut() {
+                    scatter_positions(slot, ch, base + off, pool, skip);
+                }
+            }
+            let opos = base / pool;
+            for (l, out) in dst[opos * ch..(opos + LANES) * ch]
+                .chunks_exact_mut(ch)
+                .enumerate()
+            {
+                for (c, v) in out.iter_mut().enumerate() {
+                    *v = (0..pool).fold(i64::MIN, |best, off| {
+                        best.max(rowtmp[(off * ch + c) * LANES + l])
+                    });
+                }
+            }
+        }
+    }
     // Conv output length equals its input length ("same" padding); every
     // position is computed — including a trailing remainder the pool
-    // drops — so requant overflow counts match the unfused engine.
-    for pos in 0..in_len {
+    // drops — so requant overflow counts match the unfused engine. The
+    // tail starts on a pool boundary, so its ring slots start fresh.
+    for pos in tail..in_len {
         let slot = pos % pool;
         {
             let out = &mut rowtmp[slot * slot_n..(slot + 1) * slot_n];

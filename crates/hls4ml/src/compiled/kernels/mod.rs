@@ -157,3 +157,16 @@ pub(crate) fn stage_i32(src: &[i64], dst: &mut [i32]) {
         *d = s as i32;
     }
 }
+
+/// The `(x64, x32)` pair a layer's kernels read: a narrow layer gets `src`
+/// narrowed into `x32` (the wide side empty), a wide layer `src` as is.
+#[inline(always)]
+pub(crate) fn stage<'a>(d: &CDense, src: &'a [i64], x32: &'a mut [i32]) -> (&'a [i64], &'a [i32]) {
+    if d.narrow() {
+        let x32 = &mut x32[..src.len()];
+        stage_i32(src, x32);
+        (&[], x32)
+    } else {
+        (src, &[])
+    }
+}

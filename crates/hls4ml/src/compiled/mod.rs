@@ -26,7 +26,10 @@
 //! * frames execute **batch-major**: up to [`LANES`] frames travel
 //!   together through every layer in a lane-interleaved layout, so one
 //!   weight load feeds eight MACs and `batch > 1` *amortises* weight
-//!   traffic instead of regressing;
+//!   traffic instead of regressing; a single frame's convs use
+//!   **positions as lanes** — eight adjacent output positions through the
+//!   same 8-lane kernels (CSR lanes for a sparse layer) — so batch 1
+//!   skips zero weights too;
 //! * `conv1d → maxpool` and `upsample → concat` chains are fused into
 //!   single-pass kernels over the scratch arena — the intermediate tensor
 //!   is never materialised;
@@ -55,8 +58,8 @@
 //!   unchanged (the interpreter's `f64` product of a zero weight can be
 //!   `-0.0`, but `-0.0` never survives a quantization boundary — it
 //!   quantizes to raw `0` and indexes the sigmoid table identically);
-//! * **SIMD and batch lanes** only reassociate the same exact integer
-//!   products;
+//! * **SIMD, batch lanes and position lanes** only reassociate the same
+//!   exact integer products, and every position is computed once;
 //! * **fusion** reorders *when* elements are computed, never the
 //!   arithmetic; positions a pool drops are still computed so overflow
 //!   statistics match.
@@ -70,7 +73,7 @@ mod kernels;
 mod planner;
 
 use crate::firmware::{Firmware, FwNode, InferenceStats};
-use kernels::{call_rows, fused, stage_i32, CDense};
+use kernels::{call_rows, fused, stage, stage_i32, CDense};
 use reads_fixed::{Fx, Overflow, OverflowStats, QFormat, Requant, Rounding};
 use reads_tensor::activ::SigmoidTable;
 use serde::{Deserialize, Serialize};
@@ -275,7 +278,8 @@ pub struct Scratch {
     win32: Vec<i32>,
     /// Narrowed layer-input staging for the `i32` widening-MAC kernels.
     x32: Vec<i32>,
-    /// `pool × channels` ring for the fused conv→pool kernel.
+    /// `pool × channels × LANES` ring for the fused conv→pool kernel, and
+    /// the `channels × LANES` position block of a batch-1 conv.
     rowtmp: Vec<i64>,
     skips: Vec<Vec<i64>>,
     out: Vec<f64>,
@@ -318,7 +322,8 @@ pub struct CompiledFirmware {
     digest: u64,
     max_elems: usize,
     max_window: usize,
-    max_fuse_tmp: usize,
+    /// Largest conv `rows` (× `pool` when fused): `rowtmp` is this × `LANES`.
+    max_rowtmp: usize,
     skip_sizes: Vec<usize>,
     layer_ops: Vec<LayerOps>,
     /// Per-node kernel family the planner selected.
@@ -361,7 +366,7 @@ impl CompiledFirmware {
             win64: vec![0; self.max_window * LANES],
             win32: vec![0; self.max_window * LANES],
             x32: vec![0; self.max_elems * LANES],
-            rowtmp: vec![0; self.max_fuse_tmp * LANES],
+            rowtmp: vec![0; self.max_rowtmp * LANES],
             skips: self
                 .skip_sizes
                 .iter()
@@ -421,13 +426,8 @@ impl CompiledFirmware {
                 let (src, dst) = (&a[..cur_elems * L], &mut b[..out_elems * L]);
                 match &step.kernel {
                     StepKernel::Dense(d) => {
-                        if d.narrow() {
-                            let x32 = &mut x32[..cur_elems * L];
-                            stage_i32(src, x32);
-                            call_rows::<L>(d, &self.sigmoid, &[], x32, dst, &mut ovf);
-                        } else {
-                            call_rows::<L>(d, &self.sigmoid, src, &[], dst, &mut ovf);
-                        }
+                        let (x64, xs) = stage(d, src, x32);
+                        call_rows::<L>(d, &self.sigmoid, x64, xs, dst, &mut ovf);
                     }
                     StepKernel::Pointwise(d) => {
                         if d.narrow() {
@@ -449,36 +449,21 @@ impl CompiledFirmware {
                         }
                     }
                     StepKernel::Conv { d, k, in_ch } => {
-                        if d.narrow() {
-                            stage_i32(src, &mut x32[..cur_elems * L]);
-                            fused::run_conv::<L>(
-                                d,
-                                &self.sigmoid,
-                                *k,
-                                *in_ch,
-                                cur_len,
-                                &[],
-                                &x32[..cur_elems * L],
-                                win64,
-                                win32,
-                                dst,
-                                &mut ovf,
-                            );
-                        } else {
-                            fused::run_conv::<L>(
-                                d,
-                                &self.sigmoid,
-                                *k,
-                                *in_ch,
-                                cur_len,
-                                src,
-                                &[],
-                                win64,
-                                win32,
-                                dst,
-                                &mut ovf,
-                            );
-                        }
+                        let (x64, xs) = stage(d, src, x32);
+                        fused::run_conv::<L>(
+                            d,
+                            &self.sigmoid,
+                            *k,
+                            *in_ch,
+                            cur_len,
+                            x64,
+                            xs,
+                            win64,
+                            win32,
+                            rowtmp,
+                            dst,
+                            &mut ovf,
+                        );
                     }
                     StepKernel::ConvPool {
                         d,
@@ -487,43 +472,23 @@ impl CompiledFirmware {
                         pool,
                         conv_skip,
                     } => {
-                        let skip = conv_skip.map(|s| skips[s].as_mut_slice());
-                        if d.narrow() {
-                            stage_i32(src, &mut x32[..cur_elems * L]);
-                            fused::run_conv_pool::<L>(
-                                d,
-                                &self.sigmoid,
-                                *k,
-                                *in_ch,
-                                cur_len,
-                                *pool,
-                                &[],
-                                &x32[..cur_elems * L],
-                                win64,
-                                win32,
-                                rowtmp,
-                                skip,
-                                dst,
-                                &mut ovf,
-                            );
-                        } else {
-                            fused::run_conv_pool::<L>(
-                                d,
-                                &self.sigmoid,
-                                *k,
-                                *in_ch,
-                                cur_len,
-                                *pool,
-                                src,
-                                &[],
-                                win64,
-                                win32,
-                                rowtmp,
-                                skip,
-                                dst,
-                                &mut ovf,
-                            );
-                        }
+                        let (x64, xs) = stage(d, src, x32);
+                        fused::run_conv_pool::<L>(
+                            d,
+                            &self.sigmoid,
+                            *k,
+                            *in_ch,
+                            cur_len,
+                            *pool,
+                            x64,
+                            xs,
+                            win64,
+                            win32,
+                            rowtmp,
+                            conv_skip.map(|s| skips[s].as_mut_slice()),
+                            dst,
+                            &mut ovf,
+                        );
                     }
                     StepKernel::MaxPool { pool } => {
                         // Monotone raw→value map: the integer argmax is the
@@ -925,24 +890,34 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_stateless() {
-        let fw = build(&models::reads_mlp(7), 1);
-        let cf = CompiledFirmware::lower(&fw);
-        let a = synth_frame(fw.input_len * fw.input_channels, 10);
-        let b = synth_frame(fw.input_len * fw.input_channels, 11);
-        let mut scratch = cf.scratch();
-        let first_a: (Vec<f64>, InferenceStats) = {
-            let (y, s) = cf.infer_into(&a, &mut scratch);
-            (y.to_vec(), s.clone())
-        };
-        let _ = cf.infer_into(&b, &mut scratch);
-        let again_a: (Vec<f64>, InferenceStats) = {
-            let (y, s) = cf.infer_into(&a, &mut scratch);
-            (y.to_vec(), s.clone())
-        };
-        assert_eq!(
-            first_a, again_a,
-            "scratch must carry no state across frames"
-        );
+        // The pruned U-Net runs its convs as position lanes at batch 1, so
+        // the block buffers and the pool ring are reused here too.
+        for (fw, label) in [
+            (build(&models::reads_mlp(7), 1), "mlp"),
+            (
+                sparsify_firmware(&build(&models::reads_unet(7), 1), 0.25, 5),
+                "unet d=0.25",
+            ),
+        ] {
+            let cf = CompiledFirmware::lower(&fw);
+            let a = synth_frame(fw.input_len * fw.input_channels, 10);
+            let b = synth_frame(fw.input_len * fw.input_channels, 11);
+            let mut scratch = cf.scratch();
+            let first_a: (Vec<f64>, InferenceStats) = {
+                let (y, s) = cf.infer_into(&a, &mut scratch);
+                (y.to_vec(), s.clone())
+            };
+            let _ = cf.infer_into(&b, &mut scratch);
+            let again_a: (Vec<f64>, InferenceStats) = {
+                let (y, s) = cf.infer_into(&a, &mut scratch);
+                (y.to_vec(), s.clone())
+            };
+            assert_eq!(
+                first_a, again_a,
+                "{label}: scratch must carry no state across frames"
+            );
+            assert_identical(&fw, &cf, &a);
+        }
     }
 
     #[test]

@@ -229,9 +229,11 @@ fn lower_dense(
 
     let (rows1, rows8) = match kind {
         // CSR pays off only on lane passes, where each retained weight is
-        // amortised over 8 frames; single-frame passes lose the columnar
-        // vectorisation a dense row gives, so a sparse layer keeps the
-        // dense body as its L = 1 kernel. Both compute the identical sum —
+        // amortised over 8 lanes — 8 frames, or 8 positions of one frame's
+        // conv. `rows1` serves only one-position passes (dense layers, the
+        // pointwise head, a conv's tail positions), which would lose the
+        // columnar vectorisation a dense row gives, so a sparse layer
+        // keeps the dense body there. Both compute the identical sum —
         // pruned weights are exactly zero.
         KernelKind::Sparse => (dense::pair(d.cols, simd).0, sparse::pair(simd).1),
         KernelKind::DenseWide => dense::wide_pair(simd),
@@ -283,7 +285,7 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
     let mut cur_bound = fmt_raw_bound(input_fmt);
     let mut max_elems = fw.input_len * fw.input_channels;
     let mut max_window = 0usize;
-    let mut max_fuse_tmp = 0usize;
+    let mut max_rowtmp = 0usize;
     let mut fused_sites = 0u32;
 
     let mut i = 0;
@@ -344,6 +346,9 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
                 grids.push(cur_grid);
                 kinds.push(c.kind);
                 max_window = max_window.max(k * in_ch);
+                // A batch-1 position block is `rows × LANES`, as is one
+                // slot of the fused ring below.
+                max_rowtmp = max_rowtmp.max(d.rows);
                 layer_ops.push(LayerOps {
                     macs: (out_len * d.rows * d.cols) as u64,
                     elements: out_elems as u64,
@@ -356,7 +361,7 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
                     };
                     let (p_len, p_ch) = fw.shapes[i + 1];
                     max_elems = max_elems.max(p_len * p_ch);
-                    max_fuse_tmp = max_fuse_tmp.max(pool * d.rows);
+                    max_rowtmp = max_rowtmp.max(pool * d.rows);
                     fused_sites += 1;
                     // Pool passes grid and bound through untouched.
                     grids.push(cur_grid);
@@ -595,7 +600,7 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
         digest: fw.content_digest(),
         max_elems,
         max_window,
-        max_fuse_tmp,
+        max_rowtmp,
         skip_sizes,
         layer_ops,
         kinds,

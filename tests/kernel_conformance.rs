@@ -15,7 +15,8 @@
 //! * weight density 0 / 25 / 50 / 100 % (post-quantization zero masks;
 //!   density 0 is the bias-only degenerate network),
 //! * batch 1 / 7 / 8 / 9 (pure remainder, exactly one 8-frame lane pass,
-//!   and lane pass + remainder),
+//!   and lane pass + remainder), and at batch 1 conv lengths on both
+//!   sides of every 8-position block edge (positions as lanes),
 //! * `SimdPref` Scalar / Avx2 / Avx512 / Auto × `SparsityPolicy`
 //!   ForceDense / ForceSparse / Auto (preferences above the host's
 //!   capability degrade to the detected level, so every row is runnable
@@ -121,6 +122,35 @@ fn tiny_unet(len: usize, ch: usize, density_pct: u32, seed: u64) -> Model {
         }),
     ];
     Model::new(len, 1, layers)
+}
+
+/// Concat-free conv graph for the batch-1 position lanes: over an input
+/// of `len · pool` positions, a conv, a conv → maxpool (fused under the
+/// default plan), an unfused conv at the pooled length `len`, and a
+/// pointwise head. With no concat to line up, any `len` is legal (the
+/// pool must still divide its input, as the interpreter requires).
+fn conv_pool_net(len: usize, k: usize, pool: usize, density_pct: u32, seed: u64) -> Model {
+    let (c1, c2, c3) = (5, 6, 9);
+    let conv = |rows: usize, in_ch: usize, salt: u64| Layer::Conv1d {
+        p: DenseParams {
+            w: masked_weights(rows, k * in_ch, density_pct, seed ^ salt),
+            b: bias(rows, seed ^ salt),
+            activation: Activation::Relu,
+        },
+        k,
+    };
+    let layers = vec![
+        conv(c1, 1, 0x1),
+        conv(c2, c1, 0x2),
+        Layer::MaxPool { pool },
+        conv(c3, c2, 0x3),
+        Layer::PointwiseDense(DenseParams {
+            w: masked_weights(2, c3, density_pct.max(50), seed ^ 0x4),
+            b: bias(2, seed ^ 0x4),
+            activation: Activation::Sigmoid,
+        }),
+    ];
+    Model::new(len * pool, 1, layers)
 }
 
 fn frame(n: usize, salt: u64, amp: f64) -> Vec<f64> {
@@ -264,6 +294,40 @@ fn fused_kernels_match_reference() {
     }
 }
 
+/// Batch 1 runs conv positions as lanes: blocks of 8 positions (8·pool
+/// under a fused pool, i.e. 8 pooled outputs) then a per-position tail.
+/// Pooled lengths straddle every block edge, pool 3 does not divide a
+/// block, k 1/3/5 move the zero padding, and a saturating amplitude makes
+/// the overflow counts bite.
+#[test]
+fn batch1_position_lanes_match_reference_at_block_tails() {
+    for &len in &[1usize, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 65] {
+        for pool in [2usize, 3] {
+            for k in [1usize, 3, 5] {
+                for &density in &[0u32, 25, 100] {
+                    let seed = (len * 31 + pool * 7 + k) as u64;
+                    let fw = lower_to_firmware(&conv_pool_net(len, k, pool, density, seed));
+                    let hot = frame(len * pool, seed, 80.0);
+                    assert!(reference(&fw, &[hot]).1.total_overflows() > 0);
+                    for mut cfg in plans() {
+                        for fuse in [true, false] {
+                            cfg.fuse = fuse;
+                            for amp in [2.1, 80.0] {
+                                let tag = format!(
+                                    "len {len} pool {pool} k {k} density {density}% amp {amp} \
+                                     fuse {fuse} plan {:?}/{:?}",
+                                    cfg.simd, cfg.sparsity
+                                );
+                                assert_conforms(&fw, &cfg, 1, seed, amp, &tag);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Saturating frames: amplitudes far outside the calibrated range drive
 /// the quantizers into overflow, so the counters being compared are
 /// non-trivial — and must still match exactly on every kernel.
@@ -343,7 +407,7 @@ proptest! {
     /// settings, batch crossing the lane boundary.
     #[test]
     fn fuzzed_fused_conforms(
-        len in 4usize..=16,
+        len in 4usize..=40,
         ch in 1usize..=5,
         density in 0u32..=100,
         batch in 1usize..=9,
