@@ -3,7 +3,7 @@
 //! For each level `S` in `STORM_LEVELS` (default `10000,50000`) the bench
 //! starts a fresh gateway and opens `S` sessions against it in an
 //! open-loop storm, driving every client socket from one
-//! [`Poller`](reads_net::Poller) — the same readiness machinery the
+//! [`Poller`] — the same readiness machinery the
 //! gateway itself runs on. Measured per level:
 //!
 //! * **accept latency** — connect + `Hello` → `Welcome`, per session,

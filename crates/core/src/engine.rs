@@ -13,11 +13,17 @@
 //!   wall-clock staleness deadline drops frames that waited too long —
 //!   a 3 ms control loop has no use for late answers);
 //! * workers drain their queue into batches of up to `batch` frames and
-//!   run [`Firmware::infer_batch`], merging [`InferenceStats`] per shard;
-//! * each shard owns its executor: [`NativeExecutor`] (a cloned firmware
-//!   interpreter — the fast path) or [`SocExecutor`] (an [`IpArray`] of M
-//!   replicated control IPs behind the simulated bridge, watched by the
-//!   PR 1 [`Watchdog`] so a wedged IP degrades only its shard);
+//!   hand each batch to their executor, merging [`InferenceStats`] per
+//!   shard;
+//! * each shard owns its executor: [`NativeExecutor`] (the firmware
+//!   lowered into a [`CompiledFirmware`] — the fast path) or
+//!   [`SocExecutor`] (an [`IpArray`] of M replicated control IPs behind
+//!   the simulated bridge, watched by a [`Watchdog`] so a wedged IP
+//!   degrades only its shard);
+//! * every constructor starts its shards through one launch path; a
+//!   supervised engine adds a supervisor thread that restarts a fully
+//!   wedged shard, whose fresh incarnation serves the requeued frames
+//!   from its ordinary tenant queues before it reads its channel;
 //! * results land in an unbounded channel read by
 //!   [`ShardedEngine::poll_results`]; a consumer may register its thread
 //!   with [`ShardedEngine::ring_on_results`] and is then unparked once per
@@ -198,43 +204,34 @@ pub trait ShardExecutor: Send {
     }
 
     /// The compiled engine's kernel selection summary, when this executor
-    /// runs one — `None` for interpreter and simulated-SoC backends.
+    /// runs one — `None` for the simulated-SoC backend.
     fn kernel_mix(&self) -> Option<KernelMix> {
         None
     }
 }
 
-/// The native executor's inference backend: the reference interpreter, or
-/// the lowered integer-quanta engine with its per-shard scratch arena.
-#[derive(Debug, Clone)]
-enum NativeBackend {
-    Interpreter(Firmware),
-    Compiled {
-        engine: Box<CompiledFirmware>,
-        scratch: Scratch,
-    },
-}
-
-/// Fast path: one inference engine per shard. Host execution is as fast as
-/// the machine allows; simulated timing uses the deterministic expected
-/// HPS overhead plus the hls4ml compute-cycle estimate (one IP pipeline
-/// per shard, frames back to back).
-///
-/// Two bit-identical backends exist: [`NativeExecutor::new`] interprets
-/// the firmware directly (the reference path), while
-/// [`NativeExecutor::compiled`] lowers it once into integer-quanta kernels
-/// and runs frames allocation-free through a reused scratch arena — the
-/// production hot path [`ShardedEngine::native`] uses.
+/// Fast path: one inference engine per shard — the firmware lowered once
+/// into integer-quanta kernels ([`CompiledFirmware`]) that run frames
+/// allocation-free through a reused scratch arena, bit-identical to
+/// [`Firmware::infer`]. Host execution is as fast as the machine allows;
+/// simulated timing uses the deterministic expected HPS overhead plus the
+/// hls4ml compute-cycle estimate (one IP pipeline per shard, frames back
+/// to back).
 #[derive(Debug, Clone)]
 pub struct NativeExecutor {
-    backend: NativeBackend,
+    engine: CompiledFirmware,
+    scratch: Scratch,
     n_in: usize,
     frame_overhead: SimDuration,
     compute: SimDuration,
 }
 
 impl NativeExecutor {
-    fn timing(firmware: &Firmware, hps: &HpsModel) -> (usize, SimDuration, SimDuration) {
+    /// Builds an executor backed by the lowered integer-quanta engine —
+    /// bit-identical outputs and statistics to the firmware interpreter,
+    /// several times faster, zero steady-state allocations per frame.
+    #[must_use]
+    pub fn compiled(firmware: &Firmware, hps: &HpsModel) -> Self {
         let words = |width: u32| (width as usize).div_ceil(16);
         let in_fmt = firmware.input_quant.format();
         let out_fmt = firmware
@@ -245,36 +242,14 @@ impl NativeExecutor {
         let n_in = firmware.input_len * firmware.input_channels;
         let io_in = n_in * words(in_fmt.width);
         let io_out = firmware.output_len() * words(out_fmt.width);
-        let frame_overhead = hps.expected_overhead(io_in, io_out);
-        let compute = SimDuration::from_cycles(estimate_latency(firmware).total_cycles);
-        (n_in, frame_overhead, compute)
-    }
-
-    /// Builds an interpreter-backed executor for one shard.
-    #[must_use]
-    pub fn new(firmware: Firmware, hps: &HpsModel) -> Self {
-        let (n_in, frame_overhead, compute) = Self::timing(&firmware, hps);
-        Self {
-            backend: NativeBackend::Interpreter(firmware),
-            n_in,
-            frame_overhead,
-            compute,
-        }
-    }
-
-    /// Builds an executor backed by the lowered integer-quanta engine —
-    /// bit-identical outputs and statistics, several times faster, zero
-    /// steady-state allocations per frame.
-    #[must_use]
-    pub fn compiled(firmware: &Firmware, hps: &HpsModel) -> Self {
-        let (n_in, frame_overhead, compute) = Self::timing(firmware, hps);
-        let engine = Box::new(CompiledFirmware::lower(firmware));
+        let engine = CompiledFirmware::lower(firmware);
         let scratch = engine.scratch();
         Self {
-            backend: NativeBackend::Compiled { engine, scratch },
+            engine,
+            scratch,
             n_in,
-            frame_overhead,
-            compute,
+            frame_overhead: hps.expected_overhead(io_in, io_out),
+            compute: SimDuration::from_cycles(estimate_latency(firmware).total_cycles),
         }
     }
 }
@@ -285,34 +260,29 @@ impl ShardExecutor for NativeExecutor {
     }
 
     fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
-        let (outputs, stats) = match &mut self.backend {
-            NativeBackend::Interpreter(fw) => fw.infer_batch(inputs),
-            NativeBackend::Compiled { engine, scratch } => {
-                // Batch-major path: frames travel through the kernels in
-                // 8-lane groups, so one weight load feeds every lane.
-                let ol = engine.output_len();
-                let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
-                let mut flat = vec![0.0; inputs.len() * ol];
-                let stats = engine.infer_batch_into(&refs, scratch, &mut flat).clone();
-                let outs = flat.chunks_exact(ol.max(1)).map(<[f64]>::to_vec).collect();
-                (outs, stats)
-            }
-        };
+        // Batch-major path: frames travel through the kernels in 8-lane
+        // groups, so one weight load feeds every lane.
+        let ol = self.engine.output_len();
+        let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut flat = vec![0.0; inputs.len() * ol];
+        let stats = self
+            .engine
+            .infer_batch_into(&refs, &mut self.scratch, &mut flat)
+            .clone();
         let per_frame = FrameTiming {
-            write: SimDuration::ZERO,
-            control: SimDuration::ZERO,
             compute: self.compute,
-            irq: SimDuration::ZERO,
-            read: SimDuration::ZERO,
             misc: self.frame_overhead,
-            preempted: false,
             total: self.frame_overhead + self.compute,
+            ..FrameTiming::default()
         };
         let timings = vec![per_frame; inputs.len()];
         let assigned = vec![0; inputs.len()];
         let busy = batch_makespan(&timings, &assigned, 1);
         BatchOutcome {
-            outputs: outputs.into_iter().map(Some).collect(),
+            outputs: flat
+                .chunks_exact(ol.max(1))
+                .map(|out| Some(out.to_vec()))
+                .collect(),
             timings,
             stats,
             busy,
@@ -320,10 +290,7 @@ impl ShardExecutor for NativeExecutor {
     }
 
     fn kernel_mix(&self) -> Option<KernelMix> {
-        match &self.backend {
-            NativeBackend::Compiled { engine, .. } => Some(engine.kernel_mix()),
-            NativeBackend::Interpreter(_) => None,
-        }
+        Some(self.engine.kernel_mix())
     }
 }
 
@@ -381,16 +348,7 @@ impl ShardExecutor for SocExecutor {
                     // Whole shard wedged: the frame is lost; no time moves
                     // because nothing could even be triggered.
                     outputs.push(None);
-                    timings.push(FrameTiming {
-                        write: SimDuration::ZERO,
-                        control: SimDuration::ZERO,
-                        compute: SimDuration::ZERO,
-                        irq: SimDuration::ZERO,
-                        read: SimDuration::ZERO,
-                        misc: SimDuration::ZERO,
-                        preempted: false,
-                        total: SimDuration::ZERO,
-                    });
+                    timings.push(FrameTiming::default());
                     assigned.push(0);
                     break;
                 };
@@ -444,19 +402,9 @@ impl ShardExecutor for WedgedSink {
     }
 
     fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
-        let zero = FrameTiming {
-            write: SimDuration::ZERO,
-            control: SimDuration::ZERO,
-            compute: SimDuration::ZERO,
-            irq: SimDuration::ZERO,
-            read: SimDuration::ZERO,
-            misc: SimDuration::ZERO,
-            preempted: false,
-            total: SimDuration::ZERO,
-        };
         BatchOutcome {
             outputs: vec![None; inputs.len()],
-            timings: vec![zero; inputs.len()],
+            timings: vec![FrameTiming::default(); inputs.len()],
             stats: InferenceStats::default(),
             busy: SimDuration::ZERO,
         }
@@ -526,7 +474,7 @@ pub struct ShardReport {
     /// Shard resilience counters at shutdown.
     pub counters: HealthCounters,
     /// Kernel selection summary of the shard's compiled engine (`None`
-    /// for interpreter and simulated-SoC backends).
+    /// for the simulated-SoC backend).
     pub kernel_mix: Option<KernelMix>,
     /// Per-tenant attribution of the shard's work, ascending tenant id
     /// (a single entry for tenant 0 on the legacy constructors).
@@ -758,6 +706,17 @@ impl EngineHub {
             waiter.unpark();
         }
     }
+
+    /// Merged drift scoreboard across all shards (worst current status,
+    /// summed window counts), as published at window boundaries.
+    fn drift(&self) -> DriftSummary {
+        let drift = self.drift.lock().expect("drift hub lock");
+        let mut merged = DriftSummary::default();
+        for summary in drift.values() {
+            merged.merge(summary);
+        }
+        merged
+    }
 }
 
 type StatsHub = Arc<EngineHub>;
@@ -843,18 +802,22 @@ enum SupMsg {
     Done,
 }
 
+/// Builds a shard's executor from its index; a supervised engine keeps one
+/// to rebuild a wedged shard.
+type ExecutorFactory = Box<dyn FnMut(usize) -> Box<dyn ShardExecutor> + Send>;
+
 fn spawn_worker(
     ctx: WorkerCtx,
     rx: channel::Receiver<Work>,
     table: Vec<TenantSlot>,
     state: ShardState,
-    initial: Vec<Job>,
+    requeued: Vec<Job>,
     sup_tx: Option<channel::Sender<SupMsg>>,
 ) -> thread::JoinHandle<()> {
     let name = format!("reads-shard-{}r{}", state.shard, state.restarts);
     thread::Builder::new()
         .name(name)
-        .spawn(move || shard_worker(ctx, rx, table, state, initial, sup_tx))
+        .spawn(move || shard_worker(ctx, rx, table, state, requeued, sup_tx))
         .expect("spawn shard worker")
 }
 
@@ -862,7 +825,7 @@ fn spawn_worker(
 /// its final `Done`; a replacement worker spawned here is joined before
 /// the loop returns so [`ShardedEngine::finish`] sees a quiet fleet.
 fn supervisor_loop(
-    mut factory: Box<dyn FnMut(usize) -> Box<dyn ShardExecutor> + Send>,
+    mut factory: ExecutorFactory,
     policy: SupervisorPolicy,
     ctx: WorkerCtx,
     sup_tx: channel::Sender<SupMsg>,
@@ -880,38 +843,31 @@ fn supervisor_loop(
                     requeue,
                     mut state,
                 } = *report;
-                let shard = state.shard;
-                if state.restarts < u64::from(policy.max_restarts) {
-                    // Backoff before the respawn: a shard wedged by a
-                    // persistent upstream fault would otherwise burn its
-                    // whole budget in microseconds.
-                    #[allow(clippy::cast_possible_truncation)]
-                    thread::sleep(policy.backoff_for(state.restarts as u32));
-                    state.restarts += 1;
-                    let table = TenantSlot::single(factory(shard));
-                    respawned.push(spawn_worker(
-                        ctx.clone(),
-                        rx,
-                        table,
-                        state,
-                        requeue,
-                        Some(sup_tx.clone()),
-                    ));
-                } else {
-                    // Budget exhausted: the shard trips. A sink executor
-                    // keeps draining the queue so a `Block`-policy
-                    // submitter never deadlocks on a dead shard; every
-                    // drained frame counts as lost.
-                    state.denied = true;
-                    respawned.push(spawn_worker(
-                        ctx.clone(),
-                        rx,
-                        TenantSlot::single(Box::new(WedgedSink)),
-                        state,
-                        requeue,
-                        Some(sup_tx.clone()),
-                    ));
-                }
+                let executor: Box<dyn ShardExecutor> =
+                    if state.restarts < u64::from(policy.max_restarts) {
+                        // Backoff before the respawn: a shard wedged by a
+                        // persistent upstream fault would otherwise burn
+                        // its whole budget in microseconds.
+                        #[allow(clippy::cast_possible_truncation)]
+                        thread::sleep(policy.backoff_for(state.restarts as u32));
+                        state.restarts += 1;
+                        factory(state.shard)
+                    } else {
+                        // Budget exhausted: the shard trips. A sink executor
+                        // keeps draining the queue so a `Block`-policy
+                        // submitter never deadlocks on a dead shard; every
+                        // drained frame counts as lost.
+                        state.denied = true;
+                        Box::new(WedgedSink)
+                    };
+                respawned.push(spawn_worker(
+                    ctx.clone(),
+                    rx,
+                    TenantSlot::single(executor),
+                    state,
+                    requeue,
+                    Some(sup_tx.clone()),
+                ));
             }
             Err(_) => break,
         }
@@ -922,8 +878,9 @@ fn supervisor_loop(
     }
 }
 
-/// The engine: spawn with [`ShardedEngine::start`] (or the `native` /
-/// `simulated` convenience constructors), feed [`ChainFrame`]s through
+/// The engine: spawn with [`ShardedEngine::start`] (or
+/// [`ShardedEngine::native`], [`ShardedEngine::start_multi`],
+/// [`ShardedEngine::start_supervised`]), feed [`ChainFrame`]s through
 /// [`ShardedEngine::submit`], then [`ShardedEngine::finish`] to drain and
 /// collect every result plus the fleet report.
 pub struct ShardedEngine {
@@ -1067,12 +1024,7 @@ impl EngineController {
     /// summed window counts), as published at window boundaries.
     #[must_use]
     pub fn drift(&self) -> DriftSummary {
-        let drift = self.hub.drift.lock().expect("drift hub lock");
-        let mut merged = DriftSummary::default();
-        for summary in drift.values() {
-            merged.merge(summary);
-        }
-        merged
+        self.hub.drift()
     }
 
     /// Merged shadow ledger for `tenant` across its shards.
@@ -1114,15 +1066,21 @@ impl EngineController {
 }
 
 impl ShardedEngine {
+    /// The one launch path every constructor takes: creates the results
+    /// and reports channels, the pre-seeded stats hub and one worker per
+    /// table, plus — when `supervisor` is given — the thread that restarts
+    /// fully wedged shards with executors from its factory.
     fn start_with_tables(
         cfg: &EngineConfig,
         standardizer: &Standardizer,
         tables: Vec<Vec<TenantSlot>>,
         placement: BTreeMap<TenantId, Vec<usize>>,
+        supervisor: Option<(ExecutorFactory, SupervisorPolicy)>,
     ) -> Self {
         assert!(cfg.batch > 0, "batch size must be positive");
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
         assert!(!tables.is_empty(), "engine needs at least one worker");
+        let workers = tables.len();
         let (results_tx, results_rx) = channel::unbounded::<FrameResult>();
         let (reports_tx, reports_rx) = channel::unbounded::<ShardReport>();
         let hub: StatsHub = Arc::new(EngineHub::default());
@@ -1152,8 +1110,9 @@ impl ShardedEngine {
             reports_tx,
             hub: Arc::clone(&hub),
         };
-        let mut senders = Vec::with_capacity(tables.len());
-        let mut handles = Vec::with_capacity(tables.len());
+        let sup_chan = supervisor.is_some().then(channel::unbounded::<SupMsg>);
+        let mut senders = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
         for (shard, table) in tables.into_iter().enumerate() {
             let (tx, rx) = channel::bounded::<Work>(cfg.queue_depth);
             senders.push(tx);
@@ -1163,9 +1122,17 @@ impl ShardedEngine {
                 table,
                 ShardState::new(shard),
                 Vec::new(),
-                None,
+                sup_chan.as_ref().map(|(sup_tx, _)| sup_tx.clone()),
             ));
         }
+        let supervisor = supervisor
+            .zip(sup_chan)
+            .map(|((factory, policy), (sup_tx, sup_rx))| {
+                thread::Builder::new()
+                    .name("reads-supervisor".into())
+                    .spawn(move || supervisor_loop(factory, policy, ctx, sup_tx, sup_rx, workers))
+                    .expect("spawn shard supervisor")
+            });
         let ctrl_shared = Arc::new(Mutex::new(Some(senders.clone())));
         Self {
             senders,
@@ -1176,7 +1143,7 @@ impl ShardedEngine {
             results_rx,
             reports_rx,
             handles,
-            supervisor: None,
+            supervisor,
             submitted: 0,
             dropped_backpressure: 0,
             drop_policy: cfg.drop_policy,
@@ -1184,10 +1151,17 @@ impl ShardedEngine {
         }
     }
 
-    fn default_placement(workers: usize) -> BTreeMap<TenantId, Vec<usize>> {
-        let mut placement = BTreeMap::new();
-        placement.insert(DEFAULT_TENANT, (0..workers).collect());
-        placement
+    /// Tables and placement of a single-model engine: one default-tenant
+    /// slot per shard, the tenant placed on every shard.
+    fn single_tenant(
+        cfg: &EngineConfig,
+        make_executor: &mut dyn FnMut(usize) -> Box<dyn ShardExecutor>,
+    ) -> (Vec<Vec<TenantSlot>>, BTreeMap<TenantId, Vec<usize>>) {
+        let tables = (0..cfg.workers)
+            .map(|shard| TenantSlot::single(make_executor(shard)))
+            .collect();
+        let placement = BTreeMap::from([(DEFAULT_TENANT, (0..cfg.workers).collect())]);
+        (tables, placement)
     }
 
     /// Starts the engine with one executor per shard from `make_executor`
@@ -1201,16 +1175,8 @@ impl ShardedEngine {
         standardizer: &Standardizer,
         mut make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor>,
     ) -> Self {
-        assert!(cfg.workers > 0, "engine needs at least one worker");
-        let tables = (0..cfg.workers)
-            .map(|shard| TenantSlot::single(make_executor(shard)))
-            .collect();
-        Self::start_with_tables(
-            cfg,
-            standardizer,
-            tables,
-            Self::default_placement(cfg.workers),
-        )
+        let (tables, placement) = Self::single_tenant(cfg, &mut make_executor);
+        Self::start_with_tables(cfg, standardizer, tables, placement, None)
     }
 
     /// Starts a **multi-tenant** engine over a registry and a placement
@@ -1264,7 +1230,7 @@ impl ShardedEngine {
             .iter()
             .map(|(t, s)| (*t, s.clone()))
             .collect();
-        let mut engine = Self::start_with_tables(cfg, standardizer, tables, placement);
+        let mut engine = Self::start_with_tables(cfg, standardizer, tables, placement, None);
         engine.tenant_names = registry
             .tenants()
             .map(|rec| (rec.id, rec.name.clone()))
@@ -1294,67 +1260,9 @@ impl ShardedEngine {
         mut make_executor: impl FnMut(usize) -> Box<dyn ShardExecutor> + Send + 'static,
         policy: SupervisorPolicy,
     ) -> Self {
-        assert!(cfg.workers > 0, "engine needs at least one worker");
-        assert!(cfg.batch > 0, "batch size must be positive");
-        assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let (results_tx, results_rx) = channel::unbounded::<FrameResult>();
-        let (reports_tx, reports_rx) = channel::unbounded::<ShardReport>();
-        let (sup_tx, sup_rx) = channel::unbounded::<SupMsg>();
-        let hub: StatsHub = Arc::new(EngineHub::default());
-        let ctx = WorkerCtx {
-            standardizer: standardizer.clone(),
-            batch_cap: cfg.batch,
-            deadline: cfg.deadline,
-            drift_window: cfg.drift_window,
-            drift_campaign: cfg.drift_campaign,
-            results_tx,
-            reports_tx,
-            hub: Arc::clone(&hub),
-        };
-        let mut senders = Vec::with_capacity(cfg.workers);
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for shard in 0..cfg.workers {
-            let (tx, rx) = channel::bounded::<Work>(cfg.queue_depth);
-            senders.push(tx);
-            handles.push(spawn_worker(
-                ctx.clone(),
-                rx,
-                TenantSlot::single(make_executor(shard)),
-                ShardState::new(shard),
-                Vec::new(),
-                Some(sup_tx.clone()),
-            ));
-        }
-        let workers = cfg.workers;
-        let supervisor = thread::Builder::new()
-            .name("reads-supervisor".into())
-            .spawn(move || {
-                supervisor_loop(
-                    Box::new(make_executor),
-                    policy,
-                    ctx,
-                    sup_tx,
-                    sup_rx,
-                    workers,
-                );
-            })
-            .expect("spawn shard supervisor");
-        let ctrl_shared = Arc::new(Mutex::new(Some(senders.clone())));
-        Self {
-            senders,
-            ctrl_shared,
-            hub,
-            placement: Arc::new(Self::default_placement(workers)),
-            tenant_names: BTreeMap::new(),
-            results_rx,
-            reports_rx,
-            handles,
-            supervisor: Some(supervisor),
-            submitted: 0,
-            dropped_backpressure: 0,
-            drop_policy: cfg.drop_policy,
-            started: Instant::now(),
-        }
+        let (tables, placement) = Self::single_tenant(cfg, &mut make_executor);
+        let supervisor = Some((Box::new(make_executor) as ExecutorFactory, policy));
+        Self::start_with_tables(cfg, standardizer, tables, placement, supervisor)
     }
 
     /// Native fast-path engine: every shard runs the lowered
@@ -1388,63 +1296,6 @@ impl ShardedEngine {
         let hps = hps.clone();
         let standardizer = standardizer.clone();
         move |_gateway| ShardedEngine::native(&cfg, &firmware, &hps, &standardizer)
-    }
-
-    /// Simulated-SoC engine: every shard drives an [`IpArray`] of
-    /// `ips_per_shard` replicated control IPs behind its own watchdog.
-    #[must_use]
-    pub fn simulated(
-        cfg: &EngineConfig,
-        firmware: &Firmware,
-        hps: &HpsModel,
-        standardizer: &Standardizer,
-        ips_per_shard: usize,
-        policy: WatchdogPolicy,
-        seed: u64,
-    ) -> Self {
-        Self::start(cfg, standardizer, |shard| {
-            Box::new(SocExecutor::new(
-                firmware.clone(),
-                hps,
-                ips_per_shard,
-                policy,
-                seed ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-            ))
-        })
-    }
-
-    /// Supervised simulated-SoC engine: [`ShardedEngine::simulated`] plus
-    /// a [`supervisor`](ShardedEngine::start_supervised) that rebuilds a
-    /// fully wedged shard's [`IpArray`] from the same digest-pinned
-    /// firmware.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn simulated_supervised(
-        cfg: &EngineConfig,
-        firmware: &Firmware,
-        hps: &HpsModel,
-        standardizer: &Standardizer,
-        ips_per_shard: usize,
-        wd_policy: WatchdogPolicy,
-        seed: u64,
-        sup_policy: SupervisorPolicy,
-    ) -> Self {
-        let firmware = firmware.clone();
-        let hps = hps.clone();
-        Self::start_supervised(
-            cfg,
-            standardizer,
-            move |shard| {
-                Box::new(SocExecutor::new(
-                    firmware.clone(),
-                    &hps,
-                    ips_per_shard,
-                    wd_policy,
-                    seed ^ (shard as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                ))
-            },
-            sup_policy,
-        )
     }
 
     /// Number of shards.
@@ -1537,12 +1388,7 @@ impl ShardedEngine {
     /// boundaries (see [`EngineController::drift`]).
     #[must_use]
     pub fn drift(&self) -> DriftSummary {
-        let drift = self.hub.drift.lock().expect("drift hub lock");
-        let mut merged = DriftSummary::default();
-        for summary in drift.values() {
-            merged.merge(summary);
-        }
-        merged
+        self.hub.drift()
     }
 
     /// A cloneable control-plane handle for hot-swap drivers and consoles.
@@ -1899,7 +1745,7 @@ fn shard_worker(
     rx: channel::Receiver<Work>,
     mut table: Vec<TenantSlot>,
     mut state: ShardState,
-    mut initial: Vec<Job>,
+    requeued: Vec<Job>,
     sup_tx: Option<channel::Sender<SupMsg>>,
 ) {
     let supervised = sup_tx.is_some();
@@ -1913,54 +1759,11 @@ fn shard_worker(
         state.drift = Some(DriftMonitor::new(&ctx.standardizer, ctx.drift_window));
     }
 
-    // Frames requeued from a pre-restart incarnation run first, and the
-    // queue is not touched until they drain — per-chain sequence order
-    // survives the restart.
-    while !initial.is_empty() {
-        let take = initial.len().min(ctx.batch_cap);
-        let jobs: Vec<Job> = initial.drain(..take).collect();
-        // Requeued batches are tenant-homogeneous in practice (supervised
-        // engines are single-tenant); split defensively anyway, keeping
-        // arrival order within each run.
-        let mut run: Vec<Job> = Vec::with_capacity(jobs.len());
-        let mut slot_idx: Option<usize> = None;
-        for job in jobs {
-            let idx = table.iter().position(|s| s.id == job.tenant);
-            let Some(idx) = idx else {
-                state.lost += 1;
-                continue;
-            };
-            if slot_idx.is_some_and(|cur| cur != idx) {
-                let batch: Vec<Job> = std::mem::take(&mut run);
-                let cur = slot_idx.expect("set with run");
-                if let Some(mut requeue) =
-                    run_tenant_batch(&ctx, &mut table[cur], &mut state, batch, supervised)
-                {
-                    requeue.append(&mut initial);
-                    if let Some(tx) = &sup_tx {
-                        let _ =
-                            tx.send(SupMsg::Wedge(Box::new(WedgeReport { rx, requeue, state })));
-                    }
-                    return;
-                }
-            }
-            slot_idx = Some(idx);
-            run.push(job);
-        }
-        if let Some(cur) = slot_idx {
-            if !run.is_empty() {
-                if let Some(mut requeue) =
-                    run_tenant_batch(&ctx, &mut table[cur], &mut state, run, supervised)
-                {
-                    requeue.append(&mut initial);
-                    if let Some(tx) = &sup_tx {
-                        let _ =
-                            tx.send(SupMsg::Wedge(Box::new(WedgeReport { rx, requeue, state })));
-                    }
-                    return;
-                }
-            }
-        }
+    // Frames requeued from a pre-restart incarnation enter the still-empty
+    // tenant queues before the channel is read, so the loop below serves
+    // them first and per-chain sequence order survives the restart.
+    for job in requeued {
+        absorb(&ctx, &mut table, &mut state, Work::Frame(job));
     }
 
     loop {
@@ -2097,7 +1900,7 @@ mod tests {
         let (results, report) = ShardedEngine::run_stream(
             &cfg,
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames,
         );
         assert_eq!(results.len(), 24, "3 chains × 8 ticks");
@@ -2119,30 +1922,35 @@ mod tests {
         }
     }
 
+    /// The engine's compiled executors against the reference interpreter,
+    /// one `Firmware::infer` call per frame: verdicts and the merged
+    /// overflow accounting must both match bit for bit.
     #[test]
     fn engine_outputs_match_sequential_inference_bit_for_bit() {
         let fw = mlp_firmware();
         let std = standardizer();
         let frames = MultiChainSource::new(4, 6).ticks(5);
         // Sequential reference.
+        let mut want_stats = InferenceStats::default();
         let mut expect: Vec<(u32, u32, Vec<f64>)> = frames
             .iter()
             .map(|cf| {
                 let readings = assemble_frame(&cf.packets).unwrap();
                 let n_in = fw.input_len * fw.input_channels;
-                let (out, _) = fw.infer(&std.apply_frame(&readings[..n_in]));
+                let (out, stats) = fw.infer(&std.apply_frame(&readings[..n_in]));
+                want_stats.merge(&stats);
                 (cf.chain, cf.sequence, out)
             })
             .collect();
         expect.sort_by_key(|(c, s, _)| (*c, *s));
-        let (results, _) = ShardedEngine::run_stream(
+        let (results, report) = ShardedEngine::run_stream(
             &EngineConfig {
                 workers: 4,
                 batch: 3,
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames,
         );
         assert_eq!(results.len(), expect.len());
@@ -2151,40 +1959,8 @@ mod tests {
             let direct = DeblendVerdict::from_split_halves(*seq, out);
             assert_eq!(r.verdict, direct, "chain {chain} seq {seq}");
         }
-    }
-
-    #[test]
-    fn compiled_executor_matches_interpreter_executor_bit_for_bit() {
-        let fw = mlp_firmware();
-        let std = standardizer();
-        let frames = MultiChainSource::new(3, 9).ticks(4);
-        let (interp, interp_report) = ShardedEngine::run_stream(
-            &EngineConfig {
-                workers: 3,
-                batch: 2,
-                ..EngineConfig::default()
-            },
-            &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
-            frames.clone(),
-        );
-        let (compiled, compiled_report) = ShardedEngine::run_stream(
-            &EngineConfig {
-                workers: 3,
-                batch: 2,
-                ..EngineConfig::default()
-            },
-            &std,
-            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
-            frames,
-        );
-        assert_eq!(interp.len(), compiled.len());
-        for (a, b) in interp.iter().zip(&compiled) {
-            assert_eq!((a.chain, a.sequence), (b.chain, b.sequence));
-            assert_eq!(a.verdict, b.verdict, "chain {} seq {}", a.chain, a.sequence);
-        }
         // Overflow accounting is part of the contract, not just outputs.
-        assert_eq!(interp_report.merged_stats(), compiled_report.merged_stats());
+        assert_eq!(report.merged_stats(), want_stats);
     }
 
     #[test]
@@ -2198,7 +1974,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames,
         );
         assert_eq!(results.len(), 2);
@@ -2216,7 +1992,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames.clone(),
         );
         let (soc, report) = ShardedEngine::run_stream(
@@ -2256,7 +2032,7 @@ mod tests {
                     ..EngineConfig::default()
                 },
                 &std,
-                |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+                |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
                 frames,
             );
             report.throughput()
@@ -2362,7 +2138,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames,
         );
         let s = &report.shards[0];
@@ -2384,7 +2160,7 @@ mod tests {
                 ..EngineConfig::default()
             },
             &standardizer(),
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             frames,
         );
         assert!(results.is_empty());

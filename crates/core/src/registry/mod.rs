@@ -9,7 +9,7 @@
 //! * [`ModelRegistry`] — tenants and their firmware variants, each variant
 //!   walking a typed lifecycle FSM (`Staged → Shadow → Live → Retired`)
 //!   with [`RegistryCounters`] ticking on every transition;
-//! * [`placement`] — a [`PlacementPlanner`](placement::PlacementPlanner)
+//! * [`placement`] — a [`PlacementPlanner`]
 //!   that packs tenants onto engine shards using the Arria 10
 //!   ALUT/DSP/M20K estimator as its bin-packing cost model (the rule4ml
 //!   idea: estimation-driven deployment), with typed rejection when a

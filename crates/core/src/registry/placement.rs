@@ -3,7 +3,7 @@
 //! Each shard models one board slice with an ALUT/DSP/M20K budget derived
 //! from the real device ([`ShardBudget::from_device`]). A tenant's demand
 //! is its live firmware's estimate from
-//! [`reads_hls4ml::estimate_resources_with`] — the rule4ml idea of
+//! [`reads_hls4ml::resource::estimate_resources_with`] — the rule4ml idea of
 //! deploying from the estimator rather than from synthesis runs. The
 //! planner packs first-fit-decreasing by IP ALUTs (the paper's binding
 //! resource: Table II's ⟨18,10⟩ row overflows on ALUTs first), is fully

@@ -396,14 +396,10 @@ pub struct Watchdog {
 
 fn zero_timing(total: SimDuration, read: SimDuration) -> FrameTiming {
     FrameTiming {
-        write: SimDuration::ZERO,
-        control: SimDuration::ZERO,
-        compute: SimDuration::ZERO,
-        irq: SimDuration::ZERO,
         read,
         misc: total.saturating_sub(read),
-        preempted: false,
         total,
+        ..FrameTiming::default()
     }
 }
 

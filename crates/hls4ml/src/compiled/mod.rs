@@ -23,7 +23,7 @@
 //!   AVX2 / AVX-512 instantiations are selected by runtime feature
 //!   detection — all stored as plain function pointers, so the per-frame
 //!   path performs no dispatch;
-//! * frames execute **batch-major**: up to [`LANES`] frames travel
+//! * frames execute **batch-major**: up to `LANES` (8) frames travel
 //!   together through every layer in a lane-interleaved layout, so one
 //!   weight load feeds eight MACs and `batch > 1` *amortises* weight
 //!   traffic instead of regressing; a single frame's convs use
@@ -340,7 +340,7 @@ impl CompiledFirmware {
     /// accumulator leaves the `f64`-exactness domain (in which case the
     /// interpreter's own arithmetic would be inexact and no bit-identical
     /// lowering exists). Neither occurs for firmware produced by
-    /// [`crate::convert`] with the paper's precision strategies.
+    /// [`crate::convert()`] with the paper's precision strategies.
     #[must_use]
     pub fn lower(fw: &Firmware) -> Self {
         Self::lower_with(fw, &PlanConfig::default())
@@ -604,7 +604,7 @@ impl CompiledFirmware {
     }
 
     /// Batch inference through the lane-interleaved batch-major path:
-    /// frames execute in groups of [`LANES`] (one weight load feeding
+    /// frames execute in groups of `LANES` (8, one weight load feeding
     /// every lane) with a one-frame remainder loop, entirely inside
     /// `scratch` — zero allocations. Dequantized frames land
     /// back-to-back in `out`; the returned statistics are the batch

@@ -1,9 +1,9 @@
 //! A deterministic in-process chaos proxy: sits between a client and the
 //! gateway on loopback, forwarding bytes while injecting seeded faults —
 //! connection resets, partial (chunked) writes, stalls, and byte
-//! corruption. The network-side twin of [`FaultPlan`]
-//! (`reads_soc::faults`): compose the two and the serving plane faces
-//! chaos on both flanks at once.
+//! corruption. The network-side twin of
+//! [`FaultPlan`](reads_soc::faults::FaultPlan): compose the two and the
+//! serving plane faces chaos on both flanks at once.
 //!
 //! Determinism: every forwarding direction of every accepted connection
 //! gets its own [`Rng`] forked from the config seed, the connection

@@ -6,7 +6,7 @@
 //! ports), then starts one [`HubGateway`] per member with a [`FleetLink`]
 //! injected — each gateway owns the rendezvous-hash slice of chain ids the
 //! shared state assigns it, redirects misrouted hub packets, answers
-//! [`Msg::Route`](crate::wire::Msg::Route) queries, heartbeats, and
+//! [`Msg::Route`] queries, heartbeats, and
 //! gossips its session digest.
 //!
 //! The **supervisor** is a thread that watches those heartbeats: a counter

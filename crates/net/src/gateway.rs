@@ -14,7 +14,7 @@
 //!   nonblocking, registered in a [`Poller`] for read/write interest.
 //!   Each connection is a small state machine (handshake → streaming →
 //!   draining) feeding the panic-free incremental
-//!   [`FrameDecoder`](crate::wire::FrameDecoder); well-formed messages
+//!   [`FrameDecoder`]; well-formed messages
 //!   flow to the hub thread over a bounded event channel (TCP
 //!   backpressure propagates naturally when the hub falls behind).
 //! * The **hub thread** owns the [`FrameAssembler`], the

@@ -22,7 +22,7 @@ use reads_sim::{EventQueue, Rng, SimDuration, SimTime};
 use serde::Serialize;
 
 /// Per-frame timing decomposition (Steps 1–8).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct FrameTiming {
     /// Step 1: input write through the bridge.
     pub write: SimDuration,

@@ -61,7 +61,7 @@ fn worker_count_does_not_change_outputs() {
                 ..EngineConfig::default()
             },
             &std,
-            |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+            |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
             stream.clone(),
         )
         .0
@@ -100,14 +100,9 @@ impl ShardExecutor for BarrierExecutor {
             self.barrier.wait();
         }
         let timing = FrameTiming {
-            write: SimDuration::ZERO,
-            control: SimDuration::ZERO,
             compute: SimDuration::from_cycles(100),
-            irq: SimDuration::ZERO,
-            read: SimDuration::ZERO,
-            misc: SimDuration::ZERO,
-            preempted: false,
             total: SimDuration::from_cycles(100),
+            ..FrameTiming::default()
         };
         BatchOutcome {
             outputs: inputs
@@ -187,7 +182,7 @@ fn block_policy_is_lossless() {
             ..EngineConfig::default()
         },
         &standardizer(),
-        |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+        |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
         stream,
     );
     assert_eq!(results.len(), total);

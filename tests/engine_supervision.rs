@@ -7,18 +7,22 @@
 //! re-served, and the episode is visible in the counters — while a shard
 //! that keeps wedging past its restart budget **trips** (it never
 //! panics, and it never stalls a `Block`-policy submitter). A respawned
-//! worker rings the results doorbell like the one it replaces.
+//! worker rings the results doorbell like the one it replaces, and the
+//! requeued frames leave the engine before anything queued behind them.
 
 use reads::blm::hubs::MultiChainSource;
 use reads::blm::Standardizer;
 use reads::central::engine::{
-    DropPolicy, EngineConfig, NativeExecutor, ShardedEngine, SocExecutor,
+    BatchOutcome, DropPolicy, EngineConfig, NativeExecutor, ShardExecutor, ShardedEngine,
+    SocExecutor,
 };
 use reads::central::resilience::{HealthState, SupervisorPolicy, WatchdogPolicy};
 use reads::hls4ml::{convert, profile_model, Firmware, HlsConfig};
 use reads::nn::models;
 use reads::soc::faults::FaultPlan;
 use reads::soc::HpsModel;
+use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn mlp_firmware(seed: u64) -> Firmware {
@@ -92,7 +96,7 @@ fn supervisor_restarts_wedged_shard_and_reserves_in_flight_frames() {
     let (want, _) = ShardedEngine::run_stream(
         &EngineConfig::default(),
         &std,
-        |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+        |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
         stream.clone(),
     );
 
@@ -195,7 +199,7 @@ fn doorbell_rings_across_a_supervised_restart() {
     let (want, _) = ShardedEngine::run_stream(
         &EngineConfig::default(),
         &std,
-        |_| Box::new(NativeExecutor::new(fw.clone(), &HpsModel::default())),
+        |_| Box::new(NativeExecutor::compiled(&fw, &HpsModel::default())),
         stream.clone(),
     );
 
@@ -227,5 +231,116 @@ fn doorbell_rings_across_a_supervised_restart() {
     for (a, b) in want.iter().zip(&got) {
         assert_eq!((a.chain, a.sequence), (b.chain, b.sequence));
         assert_eq!(a.verdict, b.verdict, "chain {} seq {}", a.chain, a.sequence);
+    }
+}
+
+/// Serves `healthy` frames, then wedges on the batch that would cross
+/// that mark: it first waits for `release`, so everything submitted
+/// meanwhile is queued behind the wedged batch, then answers none of the
+/// batch's frames and reports itself wedged.
+struct WedgeAfter {
+    inner: NativeExecutor,
+    healthy: usize,
+    release: Option<mpsc::Receiver<()>>,
+    wedged: bool,
+}
+
+impl ShardExecutor for WedgeAfter {
+    fn input_len(&self) -> usize {
+        self.inner.input_len()
+    }
+
+    fn run_batch(&mut self, inputs: &[Vec<f64>]) -> BatchOutcome {
+        if inputs.len() <= self.healthy {
+            self.healthy -= inputs.len();
+            return self.inner.run_batch(inputs);
+        }
+        if let Some(release) = self.release.take() {
+            let _ = release.recv_timeout(Duration::from_secs(20));
+        }
+        self.wedged = true;
+        let mut outcome = self.inner.run_batch(inputs);
+        outcome.outputs.fill(None);
+        outcome
+    }
+
+    fn wedged(&self) -> bool {
+        self.wedged
+    }
+}
+
+/// `finish` sorts results by `(chain, sequence)`, so only a consumer that
+/// drains `poll_results` while the engine runs sees the order in which
+/// verdicts leave it. Across a restart with frames still queued behind the
+/// wedged batch, every chain's emitted sequences must stay strictly
+/// increasing and gap-free: the requeued frames go out before the ones
+/// that waited in the channel.
+#[test]
+fn requeued_frames_are_emitted_in_chain_order_across_a_restart() {
+    const CHAINS: u32 = 3;
+    const TICKS: u32 = 12;
+    const PATIENCE: Duration = Duration::from_secs(20);
+    let fw = mlp_firmware(44);
+    let std = standardizer();
+    let stream = MultiChainSource::new(CHAINS as usize, 57).ticks(TICKS as usize);
+    let total = stream.len();
+    let (release_tx, release_rx) = mpsc::channel();
+    let mut release_rx = Some(release_rx);
+    let hps = HpsModel::default();
+    let fw_factory = fw.clone();
+    let mut engine = ShardedEngine::start_supervised(
+        &EngineConfig {
+            workers: 1,
+            batch: 4,
+            ..EngineConfig::default()
+        },
+        &std,
+        move |_| {
+            let inner = NativeExecutor::compiled(&fw_factory, &hps);
+            match release_rx.take() {
+                // First incarnation: wedges once five frames are served.
+                Some(release) => Box::new(WedgeAfter {
+                    inner,
+                    healthy: 5,
+                    release: Some(release),
+                    wedged: false,
+                }),
+                None => Box::new(inner),
+            }
+        },
+        fast_policy(3),
+    );
+
+    let collect = |engine: &ShardedEngine, emitted: &mut Vec<(u32, u32)>| {
+        emitted.extend(engine.poll_results().iter().map(|r| (r.chain, r.sequence)));
+    };
+    let mut emitted = Vec::with_capacity(total);
+    for f in stream {
+        assert!(engine.submit(f));
+        collect(&engine, &mut emitted);
+    }
+    release_tx.send(()).expect("first incarnation is waiting");
+    let started = Instant::now();
+    while emitted.len() < total && started.elapsed() < PATIENCE {
+        collect(&engine, &mut emitted);
+        std::thread::yield_now();
+    }
+    let (rest, report) = engine.finish();
+    assert!(rest.is_empty(), "everything was collected while running");
+    let shard = &report.shards[0];
+    assert_eq!(shard.counters.shard_restarts, 1, "exactly one restart");
+    assert_eq!(shard.lost, 0, "restart means re-serve, not loss");
+
+    let mut per_chain: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (chain, seq) in emitted {
+        per_chain.entry(chain).or_default().push(seq);
+    }
+    assert_eq!(per_chain.len(), CHAINS as usize);
+    for (chain, seqs) in per_chain {
+        assert_eq!(
+            seqs,
+            (0..TICKS).collect::<Vec<u32>>(),
+            "chain {chain} left the engine out of order or with a gap"
+        );
     }
 }
