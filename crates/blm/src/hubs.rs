@@ -82,7 +82,7 @@ impl HubPacket {
     /// all big-endian.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(11 + 4 * self.counts.len() + 2);
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&HUB_MAGIC.to_be_bytes());
         out.push(self.hub);
         out.extend_from_slice(&self.sequence.to_be_bytes());
@@ -315,6 +315,18 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&c| c));
+    }
+
+    #[test]
+    fn encoded_len_matches_encode_for_every_hub_span() {
+        let readings: Vec<f64> = (0..N_BLM).map(|j| 100_000.0 + j as f64).collect();
+        let packets = split_frame(&readings, 42);
+        assert_eq!(packets.len(), N_HUBS);
+        for p in &packets {
+            let (s, e) = hub_span(usize::from(p.hub));
+            assert_eq!(p.counts.len(), e - s);
+            assert_eq!(p.encoded_len(), p.encode().len(), "hub {}", p.hub);
+        }
     }
 
     #[test]

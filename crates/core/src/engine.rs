@@ -369,8 +369,8 @@ impl ShardExecutor for SocExecutor {
                 }
             }
         }
-        // The simulated data path quantizes inside the RAM model, not the
-        // interpreter, so only input-side volume is visible here.
+        // The simulated node does not surface its per-layer inference
+        // statistics, so only input-side volume is visible here.
         stats.input.total += inputs.iter().map(|x| x.len() as u64).sum::<u64>();
         let busy = batch_makespan(&timings, &assigned, self.array.ip_count());
         BatchOutcome {

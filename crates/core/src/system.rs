@@ -241,11 +241,11 @@ impl DeblendingSystem {
         sequence: u32,
         watchdog: Option<&mut Watchdog>,
     ) -> Result<(DeblendVerdict, EndToEndTiming), SystemError> {
-        let payloads: Vec<usize> = packets.iter().map(|p| p.encode().len()).collect();
+        let payloads: Vec<usize> = packets.iter().map(HubPacket::encoded_len).collect();
         let ingress = self.eth.frame_ingest_time(&payloads);
 
         // HPS pre-processing: standardization (Sec. IV-D).
-        let n_in = self.node.firmware().input_len;
+        let n_in = self.node.compiled().input_elems();
         if readings.len() < n_in {
             return Err(SystemError::WrongFrameSize);
         }

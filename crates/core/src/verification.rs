@@ -105,7 +105,8 @@ pub fn stage2_ip_vs_float(
 }
 
 /// Stage 3: the FPGA-side subsystem — RAM in, IP, RAM out — must be
-/// bit-exact against direct firmware inference.
+/// bit-exact against direct firmware inference. The node computes on the
+/// lowered engine, so this is also an interpreter-vs-compiled differential.
 #[must_use]
 pub fn stage3_fpga_subsystem(firmware: &Firmware, frames: &[Vec<f64>]) -> StageResult {
     let mut node = CentralNodeSim::new(firmware.clone(), HpsModel::default(), 0xF36A);

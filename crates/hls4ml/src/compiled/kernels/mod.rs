@@ -53,10 +53,12 @@ pub(crate) struct Csr {
 /// its build-time-selected MAC instantiations.
 #[derive(Debug, Clone)]
 pub(crate) struct CDense {
-    /// Raw weights, row-major `rows × cols` (wide fallback path).
+    /// Raw weights, row-major `rows × cols`; kept only for the wide
+    /// fallback ([`KernelKind::DenseWide`]), empty otherwise.
     pub w: Vec<i64>,
-    /// Narrowed copy of `w`; empty when a weight or the layer's worst-case
-    /// input raw exceeds `i32` (never for the paper's ≤18-bit formats).
+    /// Narrowed weights, row-major; empty when a weight or the layer's
+    /// worst-case input raw exceeds `i32` (never for the paper's ≤18-bit
+    /// formats).
     pub w32: Vec<i32>,
     /// Pruned structured-sparse form, present when the planner chose the
     /// sparse kernel for this layer.

@@ -241,7 +241,13 @@ fn lower_dense(
     };
 
     CDense {
-        w,
+        // One weight store per layer: the narrow kernels read `w32` (or
+        // the CSR), so the `i64` copy survives only for the wide fallback.
+        w: if kind == KernelKind::DenseWide {
+            w
+        } else {
+            Vec::new()
+        },
         w32,
         csr,
         b: b.into_iter()

@@ -67,21 +67,17 @@ pub struct IpArray {
 impl IpArray {
     /// Builds `m` IP replicas of the same firmware, each with its own
     /// derived cost-model seed (so replica timing streams are independent
-    /// but the whole array is deterministic per seed).
+    /// but the whole array is deterministic per seed). The firmware is
+    /// lowered once; every replica shares that lowering.
     ///
     /// # Panics
     /// Panics when `m == 0`.
     #[must_use]
     pub fn new(firmware: &Firmware, hps: &HpsModel, m: usize, seed: u64) -> Self {
         assert!(m > 0, "an IP array needs at least one instance");
+        let proto = CentralNodeSim::new(firmware.clone(), hps.clone(), seed);
         let ips = (0..m)
-            .map(|i| {
-                CentralNodeSim::new(
-                    firmware.clone(),
-                    hps.clone(),
-                    seed ^ (i as u64).wrapping_mul(SEED_MIX),
-                )
-            })
+            .map(|i| proto.reseeded(seed ^ (i as u64).wrapping_mul(SEED_MIX)))
             .collect();
         Self {
             ips,
@@ -284,6 +280,12 @@ mod tests {
         // The serial I/O fraction bounds the gain: with compute fully
         // overlapped the makespan never drops below sum(total - compute).
         let mut arr = IpArray::new(&fw, &HpsModel::default(), 16, 12);
+        for i in 1..16 {
+            assert!(
+                std::sync::Arc::ptr_eq(arr.ip(0).compiled(), arr.ip(i).compiled()),
+                "replica {i} shares the one lowering"
+            );
+        }
         let run = arr.run_batch(&inputs);
         let io: u64 = run
             .timings

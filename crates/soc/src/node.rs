@@ -2,11 +2,20 @@
 //!
 //! One frame run moves real data: the standardized readings are quantized
 //! and stored into the input RAM through the 32-bit HPS port, the control
-//! IP is triggered, the firmware computes (bit-exact fixed point, via
-//! `reads-hls4ml`), results land in the output RAM, the completion IRQ
-//! fires, and the HPS reads the raw outputs back and dequantizes them. The
-//! returned timing is the same decomposition the paper's performance
-//! counters measured.
+//! IP is triggered, the firmware computes, results land in the output RAM,
+//! the completion IRQ fires, and the HPS reads the raw outputs back and
+//! dequantizes them. The returned timing is the same decomposition the
+//! paper's performance counters measured.
+//!
+//! The IP's compute (Steps 3–5) runs on the firmware's lowered
+//! [`CompiledFirmware`] through a node-owned [`Scratch`] arena — the
+//! bit-accurate emulation, proven bit-identical to [`Firmware::infer`] by
+//! the kernel conformance and golden suites — so a frame costs one
+//! compiled inference of host time and allocates only its returned
+//! outputs. The node lowers its firmware once and keeps only what the
+//! frame path reads; replicas built by cloning a node share the lowering.
+//! Simulated time never depends on host time: the cost-model RNG, the
+//! fault injector's stream and the handshake are the same on any engine.
 
 use crate::bridge::AvalonBridge;
 use crate::control::{regs, ControlIp, ControlState};
@@ -15,11 +24,13 @@ use crate::faults::{FaultInjector, FaultLog, FaultPlan, FrameFaults};
 use crate::hps::{HpsFrameCosts, HpsModel};
 use crate::ram::DualPortRam;
 use crate::signaltap::{SignalId, SignalTap, SignalValue};
-use reads_fixed::QFormat;
+use reads_fixed::{QFormat, Quantizer};
+use reads_hls4ml::compiled::{CompiledFirmware, Scratch};
 use reads_hls4ml::latency::estimate_latency;
 use reads_hls4ml::Firmware;
 use reads_sim::{EventQueue, Rng, SimDuration, SimTime};
 use serde::Serialize;
+use std::sync::Arc;
 
 /// Per-frame timing decomposition (Steps 1–8).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -110,19 +121,27 @@ pub struct FrameHang {
 /// The simulated central node.
 #[derive(Debug, Clone)]
 pub struct CentralNodeSim {
-    firmware: Firmware,
+    /// The deployed firmware, lowered once; clones of a node share it.
+    compiled: Arc<CompiledFirmware>,
+    scratch: Scratch,
+    input_quant: Quantizer,
+    output_fmt: QFormat,
+    compute_cycles: u64,
+    param_count: usize,
     hps: HpsModel,
     input_ram: DualPortRam,
     output_ram: DualPortRam,
     control: ControlIp,
     counters: PerfCounters,
-    compute_cycles: u64,
     words_per_value_in: usize,
     words_per_value_out: usize,
-    output_fmt: QFormat,
     rng: Rng,
     bridge: AvalonBridge,
     injector: Option<FaultInjector>,
+    // Per-frame staging, reused across frames.
+    in_words: Vec<u16>,
+    dequant: Vec<f64>,
+    out_words: Vec<u16>,
 }
 
 fn words_per_value(width: u32) -> usize {
@@ -134,36 +153,60 @@ fn sign_extend(raw: u64, width: u32) -> i64 {
     ((raw << shift) as i64) >> shift
 }
 
+/// Format of the raw words the IP writes to the output RAM: the final
+/// quantizing node's output format (the input format when the chain ends
+/// in pure data movement).
+fn output_format(fw: &Firmware) -> QFormat {
+    fw.nodes
+        .last()
+        .and_then(reads_hls4ml::firmware::FwNode::dense)
+        .map_or(fw.input_quant.format(), |d| d.out_quant.format())
+}
+
 impl CentralNodeSim {
-    /// Builds a node around a firmware build.
+    /// Builds a node around a firmware build: lowers it once and keeps
+    /// only what the frame path reads.
     #[must_use]
     pub fn new(firmware: Firmware, hps: HpsModel, seed: u64) -> Self {
-        let n_in = firmware.input_len * firmware.input_channels;
-        let n_out = firmware.output_len();
-        let in_fmt = firmware.input_quant.format();
-        let output_fmt = firmware
-            .nodes
-            .last()
-            .and_then(reads_hls4ml::firmware::FwNode::dense)
-            .map_or(in_fmt, |d| d.out_quant.format());
-        let wpv_in = words_per_value(in_fmt.width);
+        let compiled = Arc::new(CompiledFirmware::lower(&firmware));
+        let n_in = compiled.input_elems();
+        let n_out = compiled.output_len();
+        let output_fmt = output_format(&firmware);
+        let wpv_in = words_per_value(firmware.input_quant.format().width);
         let wpv_out = words_per_value(output_fmt.width);
         let compute_cycles = estimate_latency(&firmware).total_cycles;
+        let param_count = firmware.param_count();
         Self {
+            scratch: compiled.scratch(),
+            compiled,
+            input_quant: firmware.input_quant,
+            output_fmt,
+            compute_cycles,
+            param_count,
+            hps,
             input_ram: DualPortRam::new(n_in * wpv_in),
             output_ram: DualPortRam::new(n_out * wpv_out),
-            firmware,
-            hps,
             control: ControlIp::new(),
             counters: PerfCounters::new(),
-            compute_cycles,
             words_per_value_in: wpv_in,
             words_per_value_out: wpv_out,
-            output_fmt,
             rng: Rng::seed_from_u64(seed),
             bridge: AvalonBridge::default(),
             injector: None,
+            in_words: Vec::with_capacity(n_in * wpv_in),
+            dequant: Vec::with_capacity(n_in),
+            out_words: Vec::with_capacity(n_out * wpv_out),
         }
+    }
+
+    /// A copy of this node with its cost-model RNG re-seeded — how
+    /// replicas of one build share a single lowering. Call it on a fresh
+    /// node: the copy inherits every other piece of state.
+    #[must_use]
+    pub(crate) fn reseeded(&self, seed: u64) -> Self {
+        let mut node = self.clone();
+        node.rng = Rng::seed_from_u64(seed);
+        node
     }
 
     /// Installs (or clears) a fault plan. The injector keeps its own RNG,
@@ -185,10 +228,10 @@ impl CentralNodeSim {
         &self.control
     }
 
-    /// The firmware deployed on this node.
+    /// The lowered firmware deployed on this node.
     #[must_use]
-    pub fn firmware(&self) -> &Firmware {
-        &self.firmware
+    pub fn compiled(&self) -> &Arc<CompiledFirmware> {
+        &self.compiled
     }
 
     /// IP compute cycles per frame (from the hls4ml latency model).
@@ -255,8 +298,8 @@ impl CentralNodeSim {
         standardized: &[f64],
         mut tap: Option<(&mut SignalTap, TapProbes, SimTime)>,
     ) -> Result<(Vec<f64>, FrameTiming), FrameHang> {
-        let n_in = self.firmware.input_len * self.firmware.input_channels;
-        let n_out = self.firmware.output_len();
+        let n_in = self.compiled.input_elems();
+        let n_out = self.compiled.output_len();
         assert_eq!(standardized.len(), n_in, "frame length");
 
         let costs: HpsFrameCosts = self.hps.sample_frame(
@@ -289,47 +332,48 @@ impl CentralNodeSim {
 
         // ---- Functional data path -------------------------------------
         // Step 1: quantize + store the inputs through the HPS port.
-        let in_fmt = self.firmware.input_quant.format();
-        let mut iq = self.firmware.input_quant.clone();
-        let mut in_words: Vec<u16> = Vec::with_capacity(n_in * self.words_per_value_in);
+        let in_fmt = self.input_quant.format();
+        self.in_words.clear();
         for &x in standardized {
-            let raw = iq.quantize(x).raw() as u64;
+            let raw = self.input_quant.quantize(x).raw() as u64;
             for w in 0..self.words_per_value_in {
-                in_words.push(((raw >> (16 * w)) & 0xFFFF) as u16);
+                self.in_words.push(((raw >> (16 * w)) & 0xFFFF) as u16);
             }
         }
-        self.input_ram.store_frame(&in_words);
+        self.input_ram.store_frame(&self.in_words);
         if ff.input_flips > 0 {
             if let Some(inj) = self.injector.as_mut() {
-                let sites = inj.flip_sites(in_words.len(), ff.input_flips);
+                let sites = inj.flip_sites(self.in_words.len(), ff.input_flips);
                 self.input_ram.inject_bit_flips(&sites);
             }
         }
 
-        // Steps 3-5: the IP reads the input RAM, computes, writes outputs.
-        let (ram_in, _) = self.input_ram.load_frame(in_words.len());
-        let dequant: Vec<f64> = ram_in
-            .chunks(self.words_per_value_in)
-            .map(|chunk| {
-                let mut raw = 0u64;
-                for (w, &word) in chunk.iter().enumerate() {
-                    raw |= u64::from(word) << (16 * w);
-                }
-                sign_extend(raw, in_fmt.width) as f64 * in_fmt.lsb()
-            })
-            .collect();
-        let (outputs, _stats) = self.firmware.infer(&dequant);
-        let mut out_words: Vec<u16> = Vec::with_capacity(n_out * self.words_per_value_out);
-        for &y in &outputs {
-            let raw = ((y / self.output_fmt.lsb()).round() as i64) as u64;
+        // Steps 3-5: the IP reads the input RAM through its 16-bit port,
+        // computes, and writes the outputs.
+        let wpv_in = self.words_per_value_in;
+        let in_lsb = in_fmt.lsb();
+        self.dequant.clear();
+        for v in 0..n_in {
+            let mut raw = 0u64;
+            for w in 0..wpv_in {
+                raw |= u64::from(self.input_ram.read16(v * wpv_in + w)) << (16 * w);
+            }
+            self.dequant
+                .push(sign_extend(raw, in_fmt.width) as f64 * in_lsb);
+        }
+        let (outputs, _stats) = self.compiled.infer_into(&self.dequant, &mut self.scratch);
+        let out_lsb = self.output_fmt.lsb();
+        self.out_words.clear();
+        for &y in outputs {
+            let raw = ((y / out_lsb).round() as i64) as u64;
             for w in 0..self.words_per_value_out {
-                out_words.push(((raw >> (16 * w)) & 0xFFFF) as u16);
+                self.out_words.push(((raw >> (16 * w)) & 0xFFFF) as u16);
             }
         }
-        self.output_ram.store_frame(&out_words);
+        self.output_ram.store_frame(&self.out_words);
         if ff.output_flips > 0 {
             if let Some(inj) = self.injector.as_mut() {
-                let sites = inj.flip_sites(out_words.len(), ff.output_flips);
+                let sites = inj.flip_sites(self.out_words.len(), ff.output_flips);
                 self.output_ram.inject_bit_flips(&sites);
             }
         }
@@ -451,7 +495,7 @@ impl CentralNodeSim {
 
     /// Dequantizes the output RAM contents (the Step 8 functional read).
     fn read_outputs(&self) -> Vec<f64> {
-        let n_out = self.firmware.output_len();
+        let n_out = self.compiled.output_len();
         let (ram_out, _) = self.output_ram.load_frame(n_out * self.words_per_value_out);
         ram_out
             .chunks(self.words_per_value_out)
@@ -481,7 +525,7 @@ impl CentralNodeSim {
         }
         self.control.write_reg(regs::IRQ_ACK, 1);
         let out = self.read_outputs();
-        let n_words = (self.firmware.output_len() * self.words_per_value_out).div_ceil(2);
+        let n_words = (self.compiled.output_len() * self.words_per_value_out).div_ceil(2);
         let cost = probe + self.bridge.write_time(1) + self.bridge.read_time(n_words);
         Some((out, cost))
     }
@@ -511,11 +555,20 @@ impl CentralNodeSim {
     /// Rung 4: re-scrub the weight memories from the golden copy held in
     /// HPS DDR (repairs SEU-corrupted weights; see `reads-core::seu`).
     /// Returns the cost of streaming every parameter word back through the
-    /// bridge.
+    /// bridge. The golden is re-lowered only when its content digest
+    /// differs from the deployed one — equal digests compute the same
+    /// function.
     pub fn scrub_weights(&mut self, golden: &Firmware) -> SimDuration {
-        self.firmware = golden.clone();
-        self.compute_cycles = estimate_latency(&self.firmware).total_cycles;
-        let words = self.firmware.param_count().div_ceil(2);
+        if golden.content_digest() != self.compiled.content_digest() {
+            let compiled = CompiledFirmware::lower(golden);
+            self.scratch = compiled.scratch();
+            self.compiled = Arc::new(compiled);
+            self.input_quant = golden.input_quant.clone();
+            self.output_fmt = output_format(golden);
+            self.param_count = golden.param_count();
+        }
+        self.compute_cycles = estimate_latency(golden).total_cycles;
+        let words = self.param_count.div_ceil(2);
         self.bridge.write_time(words)
     }
 }
@@ -526,21 +579,25 @@ mod tests {
     use reads_hls4ml::{convert, profile_model, HlsConfig};
     use reads_nn::models;
 
-    fn unet_node(seed: u64) -> CentralNodeSim {
+    fn unet_firmware() -> Firmware {
         let m = models::reads_unet(1);
         let inputs = vec![(0..260)
             .map(|j| (j as f64 * 0.1).sin())
             .collect::<Vec<f64>>()];
         let p = profile_model(&m, &inputs);
-        let fw = convert(&m, &p, &HlsConfig::paper_default());
-        CentralNodeSim::new(fw, HpsModel::default(), seed)
+        convert(&m, &p, &HlsConfig::paper_default())
+    }
+
+    fn unet_node(seed: u64) -> CentralNodeSim {
+        CentralNodeSim::new(unet_firmware(), HpsModel::default(), seed)
     }
 
     #[test]
     fn frame_roundtrip_matches_direct_firmware_inference() {
-        let mut node = unet_node(1);
+        let fw = unet_firmware();
+        let mut node = CentralNodeSim::new(fw.clone(), HpsModel::default(), 1);
         let input: Vec<f64> = (0..260).map(|j| (j as f64 * 0.1).sin()).collect();
-        let (direct, _) = node.firmware().infer(&input);
+        let (direct, _) = fw.infer(&input);
         let (via_ram, _) = node.run_frame(&input);
         assert_eq!(
             direct, via_ram,
@@ -667,14 +724,15 @@ mod tests {
         assert_eq!(node.control().state(), ControlState::Idle);
         node.set_fault_plan(None);
         let (out, _) = node.run_frame(&input);
-        assert_eq!(out.len(), node.firmware().output_len());
+        assert_eq!(out.len(), node.compiled().output_len());
     }
 
     #[test]
     fn lost_irq_is_salvageable_without_recompute() {
-        let mut node = unet_node(13);
+        let fw = unet_firmware();
+        let mut node = CentralNodeSim::new(fw.clone(), HpsModel::default(), 13);
         let input: Vec<f64> = (0..260).map(|j| (j as f64 * 0.1).sin()).collect();
-        let (direct, _) = node.firmware().infer(&input);
+        let (direct, _) = fw.infer(&input);
         node.set_fault_plan(Some(crate::faults::FaultPlan::lost_irq(1.0, 6)));
         let hang = node.run_frame_checked(&input).unwrap_err();
         assert_eq!(hang.kind, HangKind::LostDoneIrq);
@@ -691,13 +749,51 @@ mod tests {
 
     #[test]
     fn scrub_restores_golden_weights() {
-        let mut node = unet_node(14);
-        let golden = node.firmware().clone();
+        let golden = unet_firmware();
+        let mut node = CentralNodeSim::new(golden.clone(), HpsModel::default(), 14);
+        let deployed = Arc::clone(node.compiled());
         let cost = node.scrub_weights(&golden);
         assert!(cost > SimDuration::ZERO);
+        assert!(
+            Arc::ptr_eq(&deployed, node.compiled()),
+            "an unchanged image is not re-lowered"
+        );
         let input = vec![0.3; 260];
         let (a, _) = golden.infer(&input);
         let (b, _) = node.run_frame(&input);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn scrub_with_a_different_golden_deploys_it() {
+        let fw = unet_firmware();
+        let pruned = reads_hls4ml::compiled::sparsify_firmware(&fw, 0.25, 7);
+        assert_ne!(pruned.content_digest(), fw.content_digest());
+        let mut node = CentralNodeSim::new(fw.clone(), HpsModel::default(), 15);
+        let input: Vec<f64> = (0..260).map(|j| (j as f64 * 0.07).cos()).collect();
+        let (before, _) = node.run_frame(&input);
+        assert_eq!(before, fw.infer(&input).0);
+        let cost = node.scrub_weights(&pruned);
+        assert_eq!(
+            cost,
+            AvalonBridge::default().write_time(pruned.param_count().div_ceil(2))
+        );
+        assert_eq!(node.compiled().content_digest(), pruned.content_digest());
+        let (after, _) = node.run_frame(&input);
+        let (want, _) = pruned.infer(&input);
+        assert_ne!(after, before, "the pruned model answers differently");
+        assert_eq!(after, want, "the node now runs the scrubbed image");
+    }
+
+    #[test]
+    fn reseeded_copies_share_the_lowering() {
+        let proto = unet_node(16);
+        let mut copy = proto.reseeded(17);
+        assert!(Arc::ptr_eq(proto.compiled(), copy.compiled()));
+        let input = vec![0.1; 260];
+        let (out, t) = copy.run_frame(&input);
+        let (want, t_fresh) = unet_node(17).run_frame(&input);
+        assert_eq!(out, want);
+        assert_eq!(t.total, t_fresh.total, "the new seed decides the timing");
     }
 }

@@ -29,6 +29,7 @@ use reads_hls4ml::{
     SimdPref,
 };
 use reads_nn::models;
+use reads_soc::{CentralNodeSim, HpsModel};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -310,5 +311,31 @@ fn parallel_workers_with_cloned_firmware_are_bit_identical() {
         let p_bits: Vec<u64> = p.iter().map(|v| v.to_bits()).collect();
         let s_bits: Vec<u64> = s.iter().map(|v| v.to_bits()).collect();
         assert_eq!(p_bits, s_bits, "frame {f}");
+    }
+}
+
+#[test]
+fn soc_node_matches_the_interpreter_on_golden_frames() {
+    // The simulated central node computes Steps 3–5 on the lowered engine;
+    // its full RAM round trip must return the interpreter's outputs bit for
+    // bit — for every golden build, plus the U-Net pruned to 25 % (the
+    // density the serving benchmark runs).
+    let mut builds = cases();
+    builds.push(("unet", 7, 4, 0.25));
+    for (model, seed, frames, density) in builds {
+        let fw = build_firmware(model, seed, density);
+        let n_in = fw.input_len * fw.input_channels;
+        let mut node = CentralNodeSim::new(fw.clone(), HpsModel::default(), seed);
+        for f in 0..frames {
+            let x = synth_frame(n_in, f);
+            let (want, _) = fw.infer(&x);
+            let (got, _) = node.run_frame(&x);
+            let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got_bits, want_bits,
+                "{model} seed {seed} d={density} frame {f}: node != interpreter"
+            );
+        }
     }
 }

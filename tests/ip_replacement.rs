@@ -52,7 +52,7 @@ fn autoencoder_ip_drops_into_the_same_template() {
         .collect();
     let profile = profile_model(&ae, &calib);
     let firmware = convert(&ae, &profile, &HlsConfig::paper_default());
-    let mut node = CentralNodeSim::new(firmware, HpsModel::default(), 3);
+    let mut node = CentralNodeSim::new(firmware.clone(), HpsModel::default(), 3);
 
     // Deploys and meets the deadline.
     let nominal = std.apply_frame(&gen.frame(300).readings);
@@ -63,6 +63,14 @@ fn autoencoder_ip_drops_into_the_same_template() {
         "AE IP latency {} must meet the 3 ms budget",
         timing.total
     );
+
+    // The node computes on the lowered engine: its RAM round trip returns
+    // the interpreter's outputs bit for bit.
+    assert_eq!(recon, firmware.infer(&nominal).0);
+    for i in 0..4 {
+        let x = std.apply_frame(&gen.frame(500 + i).readings);
+        assert_eq!(node.run_frame(&x).0, firmware.infer(&x).0, "frame {i}");
+    }
 
     // Anomaly detection: abort-level frames score far above nominal. The
     // abort scenario draws Poisson event counts, so only frames that truly
