@@ -235,7 +235,7 @@ fn run_intensity(
         .fleet
         .shards
         .iter()
-        .flat_map(|s| s.timings.iter().map(|t| t.total.as_millis_f64()))
+        .flat_map(|s| s.timings().map(|t| t.total.as_millis_f64()))
         .collect();
     let deadline_miss = if timings.is_empty() {
         0.0

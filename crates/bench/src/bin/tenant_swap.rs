@@ -145,7 +145,7 @@ fn run_pass(
     let timings: Vec<f64> = fleet
         .shards
         .iter()
-        .flat_map(|s| s.timings.iter().map(|t| t.total.as_secs_f64() * 1e3))
+        .flat_map(|s| s.timings().map(|t| t.total.as_secs_f64() * 1e3))
         .collect();
     let deadline_miss = if timings.is_empty() {
         0.0

@@ -42,15 +42,28 @@ pub fn hub_span(h: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Fletcher-16 checksum over a byte stream.
+/// Longest run of bytes [`fletcher16`] sums before reducing modulo 255.
+const FLETCHER_BLOCK: usize = 5_802;
+
+/// Fletcher-16 checksum over a byte stream (modulo 255, `b << 8 | a`).
+///
+/// The sums run in `u32` and reduce once per block of at most 5 802 bytes
+/// instead of once per byte; the residues, hence the checksum, are the
+/// same. The bound: entering a block with `a, b ≤ 254`, `n` bytes of
+/// `0xFF` leave `b ≤ 254 + 254·n + 255·n(n+1)/2`, which is
+/// 4 294 272 227 < 2³² for `n = 5 802` and past `u32::MAX` for `n = 5 803`.
 #[must_use]
 pub fn fletcher16(data: &[u8]) -> u16 {
-    let (mut a, mut b) = (0u16, 0u16);
-    for &byte in data {
-        a = (a + u16::from(byte)) % 255;
-        b = (b + a) % 255;
+    let (mut a, mut b) = (0u32, 0u32);
+    for block in data.chunks(FLETCHER_BLOCK) {
+        for &byte in block {
+            a += u32::from(byte);
+            b += a;
+        }
+        a %= 255;
+        b %= 255;
     }
-    (b << 8) | a
+    ((b << 8) | a) as u16
 }
 
 /// Errors while decoding a hub packet.
@@ -83,6 +96,15 @@ impl HubPacket {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the packet's encoding (see [`HubPacket::encode`]) to `out`;
+    /// the checksum covers only the appended bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.encoded_len());
         out.extend_from_slice(&HUB_MAGIC.to_be_bytes());
         out.push(self.hub);
         out.extend_from_slice(&self.sequence.to_be_bytes());
@@ -91,9 +113,8 @@ impl HubPacket {
         for c in &self.counts {
             out.extend_from_slice(&c.to_be_bytes());
         }
-        let ck = fletcher16(&out);
+        let ck = fletcher16(&out[start..]);
         out.extend_from_slice(&ck.to_be_bytes());
-        out
     }
 
     /// Decodes and verifies one packet.
@@ -121,11 +142,9 @@ impl HubPacket {
         if fletcher16(body) != ck {
             return Err(DecodeError::BadChecksum);
         }
-        let counts = (0..n)
-            .map(|i| {
-                let o = 11 + 4 * i;
-                u32::from_be_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]])
-            })
+        let counts = body[11..]
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
             .collect();
         Ok(Self {
             hub,
@@ -303,6 +322,67 @@ pub enum AssembleError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte-modulo Fletcher-16 [`fletcher16`] replaced. The oracle
+    /// the deferred-modulo version must equal on every input.
+    fn fletcher16_bytewise(data: &[u8]) -> u16 {
+        let (mut a, mut b) = (0u16, 0u16);
+        for &byte in data {
+            a = (a + u16::from(byte)) % 255;
+            b = (b + a) % 255;
+        }
+        (b << 8) | a
+    }
+
+    #[test]
+    fn fletcher_matches_the_oracle_at_the_block_bound() {
+        // All-0xFF runs of one block, one block and a byte, and two blocks
+        // and a byte. Their sums are multiples of 255, so every block after
+        // the first starts from zero residues.
+        for n in [FLETCHER_BLOCK, FLETCHER_BLOCK + 1, 2 * FLETCHER_BLOCK + 1] {
+            let ones = vec![0xFF; n];
+            assert_eq!(fletcher16(&ones), fletcher16_bytewise(&ones), "{n} bytes");
+        }
+        // The true worst case: a first block that leaves `a = b = 254`
+        // (zeros, then 254 as its last byte), then a whole block of 0xFF.
+        // One byte more per block overflows `b`, which panics in debug
+        // builds.
+        let mut worst = vec![0u8; FLETCHER_BLOCK - 1];
+        worst.push(254);
+        worst.extend(std::iter::repeat_n(0xFF, FLETCHER_BLOCK));
+        assert_eq!(fletcher16(&worst[..FLETCHER_BLOCK]), 254 << 8 | 254);
+        assert_eq!(fletcher16(&worst), fletcher16_bytewise(&worst));
+    }
+
+    proptest! {
+        #[test]
+        fn fletcher_matches_the_bytewise_oracle(
+            data in prop::collection::vec(any::<u8>(), 0..=12 * 1024),
+            offset in 0usize..32,
+        ) {
+            let tail = &data[offset.min(data.len())..];
+            prop_assert_eq!(fletcher16(tail), fletcher16_bytewise(tail));
+        }
+    }
+
+    #[test]
+    fn packet_encodes_to_its_fixture() {
+        // Bytes of the per-byte-modulo codec; `encode_into` must append
+        // the same bytes after whatever the buffer already holds.
+        let p = HubPacket {
+            hub: 2,
+            sequence: 77,
+            first_monitor: 75,
+            counts: vec![110_000, 111_111, 112_222],
+        };
+        let want = "b1a5020000004d004b00030001adb00001b2070001b65e4325";
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(&p.encode()), want);
+        let mut out = vec![0xAB; 3];
+        p.encode_into(&mut out);
+        assert_eq!(hex(&out), format!("ababab{want}"));
+    }
 
     #[test]
     fn spans_cover_all_monitors_disjointly() {
@@ -447,5 +527,6 @@ mod tests {
     fn fletcher_known_value() {
         // Fletcher-16 of "abcde" is 0xC8F0.
         assert_eq!(fletcher16(b"abcde"), 0xC8F0);
+        assert_eq!(fletcher16_bytewise(b"abcde"), 0xC8F0);
     }
 }

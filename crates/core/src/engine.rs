@@ -467,8 +467,11 @@ pub struct ShardReport {
     pub stats: InferenceStats,
     /// Simulated busy time of the shard (sum of batch makespans).
     pub busy: SimDuration,
-    /// Per-frame timings (for fleet percentile/throughput analysis).
-    pub timings: Vec<FrameTiming>,
+    /// Per-frame timings (for fleet percentile/throughput analysis) as
+    /// runs of equal consecutive timings: `(timing, frames)`. A native
+    /// shard charges every frame the same constant, so its whole life is
+    /// one run; [`ShardReport::timings`] expands them in frame order.
+    pub timing_runs: Vec<(FrameTiming, u64)>,
     /// Shard health at shutdown.
     pub health: HealthState,
     /// Shard resilience counters at shutdown.
@@ -482,6 +485,26 @@ pub struct ShardReport {
     /// Input-drift scoreboard of the shard's raw-reading monitor (all
     /// zeros when `drift_window == 0`).
     pub drift: DriftSummary,
+}
+
+impl ShardReport {
+    /// Every frame's timing, in the order the shard charged them.
+    pub fn timings(&self) -> impl Iterator<Item = &FrameTiming> {
+        self.timing_runs
+            .iter()
+            .flat_map(|(t, n)| std::iter::repeat_n(t, *n as usize))
+    }
+}
+
+/// Appends `timings` to `runs`, extending the last run while timings
+/// repeat.
+fn push_timing_runs(runs: &mut Vec<(FrameTiming, u64)>, timings: &[FrameTiming]) {
+    for &t in timings {
+        match runs.last_mut() {
+            Some((last, n)) if *last == t => *n += 1,
+            _ => runs.push((t, 1)),
+        }
+    }
 }
 
 /// Fleet-wide accounting.
@@ -559,7 +582,7 @@ impl FleetReport {
         let mut ms: Vec<f64> = self
             .shards
             .iter()
-            .flat_map(|s| s.timings.iter().map(|t| t.total.as_millis_f64()))
+            .flat_map(|s| s.timings().map(|t| t.total.as_millis_f64()))
             .collect();
         FleetThroughput::from_shards(&per_shard, &mut ms)
     }
@@ -749,7 +772,7 @@ struct ShardState {
     max_batch: usize,
     stats: InferenceStats,
     busy: SimDuration,
-    timings: Vec<FrameTiming>,
+    timing_runs: Vec<(FrameTiming, u64)>,
     /// Per-tenant attribution (keyed by tenant id; survives restarts).
     tenants: BTreeMap<TenantId, TenantAcct>,
     /// Resilience counters of executors torn down by a wedge.
@@ -776,7 +799,7 @@ impl ShardState {
             max_batch: 0,
             stats: InferenceStats::default(),
             busy: SimDuration::ZERO,
-            timings: Vec::new(),
+            timing_runs: Vec::new(),
             tenants: BTreeMap::new(),
             carried: HealthCounters::default(),
             restarts: 0,
@@ -1670,7 +1693,7 @@ fn run_tenant_batch(
     state.max_batch = state.max_batch.max(inputs.len());
     merge_stats_compat(&mut state.stats, &outcome.stats);
     state.busy += outcome.busy;
-    state.timings.extend(outcome.timings.iter().copied());
+    push_timing_runs(&mut state.timing_runs, &outcome.timings);
     {
         let acct = state.tenants.entry(slot.id).or_default();
         acct.stats.merge(&outcome.stats);
@@ -1856,7 +1879,7 @@ fn shard_worker(
         max_batch: state.max_batch,
         stats: state.stats,
         busy: state.busy,
-        timings: state.timings,
+        timing_runs: state.timing_runs,
         health,
         counters,
         kernel_mix,

@@ -3,7 +3,9 @@
 //! `netserve_throughput` bench.
 
 use crate::reactor::is_would_block;
-use crate::wire::{encode_msg, FrameDecoder, Msg, Role, VerdictMsg, WireError};
+use crate::wire::{
+    encode_hub_data_into, encode_msg_into, FrameDecoder, Msg, Role, VerdictMsg, WireError,
+};
 use reads_blm::hubs::{ChainFrame, MultiChainSource};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -31,6 +33,9 @@ pub fn was_truncated(e: &std::io::Error) -> bool {
 pub struct GatewayClient {
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// Outgoing bytes of one send, reused so a send allocates nothing once
+    /// it has grown to a tick's burst.
+    out: Vec<u8>,
 }
 
 impl GatewayClient {
@@ -39,12 +44,7 @@ impl GatewayClient {
     /// # Errors
     /// Propagates connect/configure/write failures.
     pub fn connect(addr: impl ToSocketAddrs, role: Role) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut client = Self {
-            stream,
-            decoder: FrameDecoder::new(),
-        };
+        let mut client = Self::connect_raw(addr)?;
         client.send(&Msg::Hello { role })?;
         Ok(client)
     }
@@ -60,6 +60,7 @@ impl GatewayClient {
         Ok(Self {
             stream,
             decoder: FrameDecoder::new(),
+            out: Vec::new(),
         })
     }
 
@@ -68,7 +69,9 @@ impl GatewayClient {
     /// # Errors
     /// Propagates socket write failures.
     pub fn send(&mut self, msg: &Msg) -> std::io::Result<()> {
-        self.stream.write_all(&encode_msg(msg))
+        self.out.clear();
+        encode_msg_into(msg, &mut self.out);
+        self.stream.write_all(&self.out)
     }
 
     /// Sends every hub packet of one chain frame (seven `HubData`
@@ -78,14 +81,11 @@ impl GatewayClient {
     /// # Errors
     /// Propagates socket write failures.
     pub fn send_frame(&mut self, frame: &ChainFrame) -> std::io::Result<()> {
-        let mut burst = Vec::new();
+        self.out.clear();
         for packet in &frame.packets {
-            burst.extend_from_slice(&encode_msg(&Msg::HubData {
-                chain: frame.chain,
-                packet: packet.clone(),
-            }));
+            encode_hub_data_into(frame.chain, packet, &mut self.out);
         }
-        self.stream.write_all(&burst)
+        self.stream.write_all(&self.out)
     }
 
     /// Receives the next message, waiting at most `timeout`. Returns

@@ -62,7 +62,7 @@ use crate::reactor::{
     WakeRx, Waker,
 };
 use crate::router::{FleetLink, SessionStub};
-use crate::wire::{encode_msg, FrameDecoder, Msg, Role, VerdictMsg, WireError};
+use crate::wire::{encode_msg, encode_msg_into, FrameDecoder, Msg, Role, VerdictMsg, WireError};
 use reads_blm::hubs::HubPacket;
 use reads_core::adapt::AdaptObserver;
 use reads_core::console::{AdaptConsoleLine, OperatorConsole, TenantConsoleLine};
@@ -402,6 +402,8 @@ struct Switchboard {
     observed: u64,
     verdicts_sent: u64,
     acks_sent: u64,
+    /// Encode buffer of [`Switchboard::fan_out`], reused across verdicts.
+    verdict_buf: Vec<u8>,
 }
 
 /// Accepted-frame memory per chain. Large enough that a client replaying
@@ -700,11 +702,13 @@ impl Switchboard {
         for r in results {
             self.console.observe(&r.verdict, &r.timing);
             self.observed += 1;
-            let bytes: Arc<[u8]> = encode_msg(&Msg::Verdict(VerdictMsg {
+            self.verdict_buf.clear();
+            let msg = Msg::Verdict(VerdictMsg {
                 chain: r.chain,
                 verdict: r.verdict,
-            }))
-            .into();
+            });
+            encode_msg_into(&msg, &mut self.verdict_buf);
+            let bytes: Arc<[u8]> = Arc::from(self.verdict_buf.as_slice());
             let mut to_park: Vec<u64> = Vec::new();
             for s in self.sessions.values_mut() {
                 if s.role != Role::Subscriber {
@@ -1464,6 +1468,7 @@ fn hub_loop(
         observed: 0,
         verdicts_sent: 0,
         acks_sent: 0,
+        verdict_buf: Vec::new(),
     };
     let mut assembler = FrameAssembler::new(cfg.assembly_window);
     let mut sim_ingest = SimDuration::ZERO;

@@ -64,6 +64,6 @@ pub use resilient::{ResilienceConfig, ResilienceStats, ResilientClient};
 pub use router::{FleetLink, FleetMember, FleetState, SessionStub};
 pub use shutdown::{ctrl_c_requested, install_ctrl_c, request_shutdown};
 pub use wire::{
-    crc32, encode_msg, FrameDecoder, Msg, Role, VerdictMsg, WireError, MAX_PAYLOAD,
-    PROTOCOL_VERSION, WIRE_MAGIC,
+    crc32, encode_hub_data_into, encode_msg, encode_msg_into, FrameDecoder, Msg, Role, VerdictMsg,
+    WireError, MAX_PAYLOAD, PROTOCOL_VERSION, WIRE_MAGIC,
 };

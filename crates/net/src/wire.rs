@@ -20,6 +20,15 @@
 //! *bit patterns*, so a verdict that crosses the wire is bit-identical to
 //! the in-process [`DeblendVerdict`].
 //!
+//! Both checksums run at memory speed without changing a byte: [`crc32`]
+//! folds 16 bytes per step through compile-time slicing tables, and the
+//! hub packets' Fletcher-16 reduces modulo 255 once per block instead of
+//! once per byte. The byte fixtures in this module's tests pin every
+//! message kind to the bytes the bytewise codec produced. Encoding writes
+//! the header, the payload in place and the CRC into one caller-owned
+//! buffer ([`encode_msg_into`], [`encode_hub_data_into`]), so a client's
+//! tick burst or a gateway's verdict needs no per-message temporaries.
+//!
 //! Decoding is incremental and panic-free: [`FrameDecoder`] consumes
 //! arbitrary byte chunks, yields complete messages, returns typed
 //! [`WireError`]s for malformed input, and never allocates more than
@@ -227,10 +236,16 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) lookup table,
-/// computed at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Bytes one step of [`crc32`] folds in.
+const CRC_SLICE: usize = 16;
+
+/// Slicing-by-16 tables for CRC-32 (IEEE 802.3, reflected, polynomial
+/// `0xEDB88320`), computed at compile time. `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][i]` is the CRC state after byte `i` is
+/// followed by `k` zero bytes, so the 16 lookups of one step are
+/// independent of each other.
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = {
+    let mut t = [[0u32; 256]; CRC_SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -243,18 +258,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut s = 1;
+    while s < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 };
 
-/// CRC-32 over a byte stream (IEEE 802.3).
+/// CRC-32 over a byte stream (IEEE 802.3), 16 bytes per step.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(CRC_SLICE);
+    for b in &mut blocks {
+        // The state folds into the first four bytes; the other twelve
+        // only need their own table lookup.
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let mut next = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize];
+        for (k, &byte) in b[4..].iter().enumerate() {
+            next ^= t[11 - k][usize::from(byte)];
+        }
+        c = next;
+    }
+    for &byte in blocks.remainder() {
+        c = t[0][((c ^ u32::from(byte)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -275,41 +315,81 @@ fn kind_of(msg: &Msg) -> Kind {
     }
 }
 
-fn payload_of(msg: &Msg) -> Vec<u8> {
-    match msg {
-        Msg::Hello { role } => vec![match role {
-            Role::Producer => 0,
-            Role::Subscriber => 1,
-        }],
-        Msg::HubData { chain, packet } => {
-            let inner = packet.encode();
-            let mut out = Vec::with_capacity(4 + inner.len());
-            out.extend_from_slice(&chain.to_be_bytes());
-            out.extend_from_slice(&inner);
-            out
-        }
+fn role_byte(role: Role) -> u8 {
+    match role {
+        Role::Producer => 0,
+        Role::Subscriber => 1,
+    }
+}
+
+/// Appends the header of a `kind` frame with a zero `len`, runs `payload`
+/// to append the body in place, then patches `len` and appends the CRC.
+///
+/// # Panics
+/// Panics if the payload exceeds [`MAX_PAYLOAD`].
+fn frame_into(kind: Kind, out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
+    out.push(PROTOCOL_VERSION);
+    out.push(kind as u8);
+    out.extend_from_slice(&[0; 6]); // flags, then `len` patched below
+    payload(out);
+    let len = out.len() - start - HEADER_LEN;
+    assert!(len <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
+    out[start + 8..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_be_bytes());
+}
+
+fn put_hub_data(out: &mut Vec<u8>, chain: u32, packet: &HubPacket) {
+    out.reserve(4 + packet.encoded_len() + TRAILER_LEN);
+    out.extend_from_slice(&chain.to_be_bytes());
+    packet.encode_into(out);
+}
+
+/// Appends the [`Msg::HubData`] frame for `packet` of `chain` to `out`
+/// without cloning the packet: the same bytes as
+/// `encode_msg(&Msg::HubData { chain, packet: packet.clone() })`.
+pub fn encode_hub_data_into(chain: u32, packet: &HubPacket, out: &mut Vec<u8>) {
+    frame_into(Kind::HubData, out, |out| put_hub_data(out, chain, packet));
+}
+
+/// Appends each f64's bit pattern, big-endian.
+fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
+    let at = out.len();
+    out.resize(at + 8 * xs.len(), 0);
+    for (dst, x) in out[at..].chunks_exact_mut(8).zip(xs) {
+        dst.copy_from_slice(&x.to_bits().to_be_bytes());
+    }
+}
+
+/// Appends one message's complete wire frame to `out`: header, payload
+/// written in place, then the CRC. Encoding a burst into one reused
+/// buffer costs no allocation once the buffer has grown.
+///
+/// # Panics
+/// Panics if the payload would exceed [`MAX_PAYLOAD`] — only possible by
+/// constructing a verdict far larger than the 260-monitor ring, which is a
+/// caller bug, not a wire condition.
+pub fn encode_msg_into(msg: &Msg, out: &mut Vec<u8>) {
+    frame_into(kind_of(msg), out, |out| match msg {
+        Msg::Hello { role } => out.push(role_byte(*role)),
+        Msg::HubData { chain, packet } => put_hub_data(out, *chain, packet),
         Msg::FrameAck { chain, sequence } => {
-            let mut out = Vec::with_capacity(8);
             out.extend_from_slice(&chain.to_be_bytes());
             out.extend_from_slice(&sequence.to_be_bytes());
-            out
         }
         Msg::Verdict(v) => {
             let n = v.verdict.mi.len();
             assert_eq!(n, v.verdict.rr.len(), "verdict halves must match");
-            let mut out = Vec::with_capacity(10 + 16 * n);
+            out.reserve(10 + 16 * n + TRAILER_LEN);
             out.extend_from_slice(&v.chain.to_be_bytes());
             out.extend_from_slice(&v.verdict.sequence.to_be_bytes());
             out.extend_from_slice(&(n as u16).to_be_bytes());
-            for &x in &v.verdict.mi {
-                out.extend_from_slice(&x.to_bits().to_be_bytes());
-            }
-            for &x in &v.verdict.rr {
-                out.extend_from_slice(&x.to_bits().to_be_bytes());
-            }
-            out
+            put_f64s(out, &v.verdict.mi);
+            put_f64s(out, &v.verdict.rr);
         }
-        Msg::Shutdown => Vec::new(),
+        Msg::Shutdown => {}
         Msg::Resume {
             session_id,
             role,
@@ -319,29 +399,23 @@ fn payload_of(msg: &Msg) -> Vec<u8> {
                 acked.len() <= usize::from(u16::MAX),
                 "resume watermark list exceeds u16 count"
             );
-            let mut out = Vec::with_capacity(11 + 8 * acked.len());
+            out.reserve(11 + 8 * acked.len() + TRAILER_LEN);
             out.extend_from_slice(&session_id.to_be_bytes());
-            out.push(match role {
-                Role::Producer => 0,
-                Role::Subscriber => 1,
-            });
+            out.push(role_byte(*role));
             out.extend_from_slice(&(acked.len() as u16).to_be_bytes());
             for (chain, seq) in acked {
                 out.extend_from_slice(&chain.to_be_bytes());
                 out.extend_from_slice(&seq.to_be_bytes());
             }
-            out
         }
         Msg::Welcome {
             session_id,
             resumed,
         } => {
-            let mut out = Vec::with_capacity(9);
             out.extend_from_slice(&session_id.to_be_bytes());
             out.push(u8::from(*resumed));
-            out
         }
-        Msg::Route { chain } => chain.to_be_bytes().to_vec(),
+        Msg::Route { chain } => out.extend_from_slice(&chain.to_be_bytes()),
         Msg::Redirect {
             chain,
             gateway_id,
@@ -352,14 +426,12 @@ fn payload_of(msg: &Msg) -> Vec<u8> {
                 bytes.len() <= usize::from(u16::MAX),
                 "redirect address exceeds u16 length"
             );
-            let mut out = Vec::with_capacity(10 + bytes.len());
             out.extend_from_slice(&chain.to_be_bytes());
             out.extend_from_slice(&gateway_id.to_be_bytes());
             out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
             out.extend_from_slice(bytes);
-            out
         }
-        Msg::TenantSelect { tenant } => tenant.to_be_bytes().to_vec(),
+        Msg::TenantSelect { tenant } => out.extend_from_slice(&tenant.to_be_bytes()),
         Msg::TenantInfo {
             tenant,
             live_digest,
@@ -371,41 +443,42 @@ fn payload_of(msg: &Msg) -> Vec<u8> {
                 bytes.len() <= usize::from(u16::MAX),
                 "tenant name exceeds u16 length"
             );
-            let mut out = Vec::with_capacity(15 + bytes.len());
             out.extend_from_slice(&tenant.to_be_bytes());
             out.extend_from_slice(&live_digest.to_be_bytes());
             out.push(*state);
             out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
             out.extend_from_slice(bytes);
-            out
         }
-    }
+    });
 }
 
-/// Encodes one message into a complete wire frame.
+/// Encodes one message into a complete wire frame (see
+/// [`encode_msg_into`]).
 ///
 /// # Panics
-/// Panics if the payload would exceed [`MAX_PAYLOAD`] — only possible by
-/// constructing a verdict far larger than the 260-monitor ring, which is a
-/// caller bug, not a wire condition.
+/// As [`encode_msg_into`].
 #[must_use]
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
-    let payload = payload_of(msg);
-    assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&WIRE_MAGIC.to_be_bytes());
-    out.push(PROTOCOL_VERSION);
-    out.push(kind_of(msg) as u8);
-    out.extend_from_slice(&0u16.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_be_bytes());
+    // Room for every fixed-size message; verdicts, hub data and resume
+    // lists reserve their own size before writing.
+    let mut out = Vec::with_capacity(HEADER_LEN + 32 + TRAILER_LEN);
+    encode_msg_into(msg, &mut out);
     out
 }
 
 fn be_u32(b: &[u8]) -> u32 {
     u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// Reads consecutive big-endian f64 bit patterns.
+fn be_f64s(b: &[u8]) -> Vec<f64> {
+    b.chunks_exact(8)
+        .map(|c| {
+            f64::from_bits(u64::from_be_bytes([
+                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+            ]))
+        })
+        .collect()
 }
 
 fn decode_payload(kind: u8, p: &[u8]) -> Result<Msg, WireError> {
@@ -446,13 +519,8 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Msg, WireError> {
             if p.len() != 10 + 16 * n {
                 return Err(WireError::BadPayload);
             }
-            let f64_at = |o: usize| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&p[o..o + 8]);
-                f64::from_bits(u64::from_be_bytes(b))
-            };
-            let mi = (0..n).map(|i| f64_at(10 + 8 * i)).collect();
-            let rr = (0..n).map(|i| f64_at(10 + 8 * (n + i))).collect();
+            let (mi, rr) = p[10..].split_at(8 * n);
+            let (mi, rr) = (be_f64s(mi), be_f64s(rr));
             Ok(Msg::Verdict(VerdictMsg {
                 chain,
                 verdict: DeblendVerdict { sequence, mi, rr },
@@ -672,6 +740,172 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise CRC-32 [`crc32`] replaced: one table lookup per byte.
+    /// The oracle the sliced version must equal on every input.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One message of each of the 11 `RDS1` kinds with the bytes the
+    /// bytewise-CRC codec encoded it to. The sliced codec must reproduce
+    /// them exactly.
+    fn rds1_fixtures() -> Vec<(Msg, &'static str)> {
+        vec![
+            (
+                Msg::Hello {
+                    role: Role::Subscriber,
+                },
+                "5244533101010000000000010186670f1e",
+            ),
+            (
+                Msg::HubData {
+                    chain: 3,
+                    packet: sample_packet(),
+                },
+                "52445331010200000000001d00000003b1a5020000004d004b00030001adb000\
+                 01b2070001b65e43259e6f5617",
+            ),
+            (
+                Msg::FrameAck {
+                    chain: 9,
+                    sequence: 1_000_001,
+                },
+                "52445331010300000000000800000009000f4241b5acb61b",
+            ),
+            (
+                Msg::Verdict(VerdictMsg {
+                    chain: 1,
+                    verdict: DeblendVerdict {
+                        sequence: 42,
+                        mi: vec![0.25, -0.0, f64::MIN_POSITIVE],
+                        rr: vec![1.0, 2.5e-308, 0.75],
+                    },
+                }),
+                "52445331010400000000003a000000010000002a00033fd00000000000008000\
+                 00000000000000100000000000003ff00000000000000011fa182c40c60d3fe8\
+                 00000000000000edd688",
+            ),
+            (Msg::Shutdown, "52445331010500000000000038ffae72"),
+            (
+                Msg::Resume {
+                    session_id: 0xDEAD_BEEF_0042,
+                    role: Role::Producer,
+                    acked: vec![(0, 17), (3, 1_000_000)],
+                },
+                "52445331010600000000001b0000deadbeef0042000002000000000000001100\
+                 000003000f4240da4ff82e",
+            ),
+            (
+                Msg::Welcome {
+                    session_id: 7,
+                    resumed: true,
+                },
+                "524453310107000000000009000000000000000701be776d4b",
+            ),
+            (
+                Msg::Route { chain: 11 },
+                "5244533101080000000000040000000b2174b0c2",
+            ),
+            (
+                Msg::Redirect {
+                    chain: 11,
+                    gateway_id: 2,
+                    addr: "127.0.0.1:7313".to_string(),
+                },
+                "5244533101090000000000180000000b00000002000e3132372e302e302e313a\
+                 373331332cca79d0",
+            ),
+            (
+                Msg::TenantSelect { tenant: 2 },
+                "52445331010a0000000000040000000200c4b1a7",
+            ),
+            (
+                Msg::TenantInfo {
+                    tenant: 2,
+                    live_digest: 0xFEED_FACE_CAFE_0042,
+                    state: 2,
+                    name: "booster-mlp".to_string(),
+                },
+                "52445331010b00000000001a00000002feedfacecafe004202000b626f6f7374\
+                 65722d6d6c70f1b7e56d",
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_kind_encodes_to_its_rds1_fixture() {
+        let fixtures = rds1_fixtures();
+        let kinds: std::collections::BTreeSet<u8> =
+            fixtures.iter().map(|(m, _)| kind_of(m) as u8).collect();
+        assert_eq!(kinds.len(), 11, "one fixture per message kind");
+        // Appending after unrelated bytes must not shift `len` or the CRC.
+        let mut appended = vec![0xAB; 5];
+        for (msg, want) in &fixtures {
+            let bytes = encode_msg(msg);
+            assert_eq!(hex(&bytes), *want, "{msg:?}");
+            encode_msg_into(msg, &mut appended);
+            let mut dec = FrameDecoder::new();
+            dec.push(&bytes);
+            assert_eq!(dec.next_msg().unwrap().as_ref(), Some(msg));
+        }
+        let joined: String = fixtures.iter().map(|(_, h)| *h).collect();
+        assert_eq!(hex(&appended), format!("{}{joined}", "ab".repeat(5)));
+    }
+
+    #[test]
+    fn hub_data_into_matches_the_msg_encoding() {
+        let mut out = Vec::new();
+        encode_hub_data_into(3, &sample_packet(), &mut out);
+        let msg = Msg::HubData {
+            chain: 3,
+            packet: sample_packet(),
+        };
+        assert_eq!(out, encode_msg(&msg));
+    }
+
+    #[test]
+    fn full_size_verdict_keeps_its_length_and_crc() {
+        let v = VerdictMsg {
+            chain: 0,
+            verdict: DeblendVerdict {
+                sequence: 7,
+                mi: (0..260).map(|j| (j as f64 * 0.7177).sin() * 1e-3).collect(),
+                rr: (0..260).map(|j| (j as f64 * 1.3).cos()).collect(),
+            },
+        };
+        let bytes = encode_msg(&Msg::Verdict(v));
+        assert_eq!(bytes.len(), 4_186);
+        assert_eq!(be_u32(&bytes[bytes.len() - TRAILER_LEN..]), 0xA768_7867);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_on_long_runs_of_ones() {
+        for n in [5_802, 5_803, 11_605] {
+            let ones = vec![0xFF; n];
+            assert_eq!(crc32(&ones), crc32_bytewise(&ones), "{n} bytes");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_oracle(
+            data in prop::collection::vec(any::<u8>(), 0..=12 * 1024),
+            offset in 0usize..32,
+        ) {
+            let tail = &data[offset.min(data.len())..];
+            prop_assert_eq!(crc32(tail), crc32_bytewise(tail));
+        }
+    }
 
     fn sample_packet() -> HubPacket {
         HubPacket {
@@ -686,6 +920,7 @@ mod tests {
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926 (IEEE check value).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

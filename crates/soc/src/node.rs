@@ -33,7 +33,7 @@ use serde::Serialize;
 use std::sync::Arc;
 
 /// Per-frame timing decomposition (Steps 1–8).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct FrameTiming {
     /// Step 1: input write through the bridge.
     pub write: SimDuration,

@@ -15,15 +15,19 @@
 //! * the results doorbell: a consumer registered with `ring_on_results`
 //!   that sleeps on nothing else still collects every result, from the
 //!   single-model and the multi-tenant constructors, and an engine with
-//!   nobody registered produces the same results and reports.
+//!   nobody registered produces the same results and reports;
+//! * a shard's timing runs expand to exactly the per-frame timings its
+//!   results carried, so fleet latency figures are bit-identical to a
+//!   per-frame log.
 
 use reads::blm::hubs::MultiChainSource;
 use reads::blm::Standardizer;
 use reads::central::engine::{
-    BatchOutcome, DropPolicy, EngineConfig, FrameResult, NativeExecutor, ShardExecutor,
-    ShardedEngine, SocExecutor,
+    BatchOutcome, DropPolicy, EngineConfig, FleetReport, FrameResult, NativeExecutor,
+    ShardExecutor, ShardedEngine, SocExecutor,
 };
 use reads::central::resilience::{HealthState, WatchdogPolicy};
+use reads::central::throughput::FleetThroughput;
 use reads::central::{ModelRegistry, PlacementPlanner, ShardBudget};
 use reads::hls4ml::{convert, profile_model, Firmware, HlsConfig};
 use reads::nn::models;
@@ -358,5 +362,83 @@ fn doorbell_rings_for_every_tenant_of_a_multi_tenant_engine() {
             16,
             "tenant {tenant}"
         );
+    }
+}
+
+/// Checks a finished run's timing runs against the per-frame log they
+/// replace — the results' timings, in the order each shard charged them —
+/// and the fleet latency figures against the ones that log gives.
+fn assert_runs_match_the_per_frame_log(results: &[FrameResult], report: &FleetReport) {
+    let mut per_frame_ms = Vec::new();
+    for s in &report.shards {
+        let log: Vec<FrameTiming> = results
+            .iter()
+            .filter(|r| r.shard == s.shard)
+            .map(|r| r.timing)
+            .collect();
+        assert!(!log.is_empty(), "shard {} idle", s.shard);
+        assert_eq!(s.timings().copied().collect::<Vec<_>>(), log);
+        per_frame_ms.extend(log.iter().map(|t| t.total.as_millis_f64()));
+    }
+    let per_shard: Vec<(u64, SimDuration)> = report
+        .shards
+        .iter()
+        .map(|s| (s.processed + s.lost, s.busy))
+        .collect();
+    let want = FleetThroughput::from_shards(&per_shard, &mut per_frame_ms);
+    let got = report.throughput();
+    for (a, b) in [
+        (got.mean_ms, want.mean_ms),
+        (got.p99_ms, want.p99_ms),
+        (got.max_ms, want.max_ms),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+#[test]
+fn timing_runs_expand_to_the_per_frame_log() {
+    let fw = mlp_firmware(21);
+    let hps = HpsModel::default();
+    // One chain per shard: `finish` sorts results by (chain, sequence),
+    // which is then each shard's own charging order.
+    let stream = MultiChainSource::new(2, 9).ticks(24);
+    let cfg = EngineConfig {
+        workers: 2,
+        batch: 4,
+        ..EngineConfig::default()
+    };
+
+    let (results, report) = ShardedEngine::run_stream(
+        &cfg,
+        &standardizer(),
+        |_| Box::new(NativeExecutor::compiled(&fw, &hps)),
+        stream.clone(),
+    );
+    assert_eq!(results.len(), stream.len());
+    assert_runs_match_the_per_frame_log(&results, &report);
+    for s in &report.shards {
+        assert_eq!(s.timing_runs.len(), 1, "a native shard is one run");
+    }
+
+    // The simulated SoC charges every frame its own jittered timing.
+    let (results, report) = ShardedEngine::run_stream(
+        &cfg,
+        &standardizer(),
+        |shard| {
+            Box::new(SocExecutor::new(
+                fw.clone(),
+                &hps,
+                2,
+                WatchdogPolicy::default(),
+                5 ^ shard as u64,
+            ))
+        },
+        stream.clone(),
+    );
+    assert_eq!(results.len(), stream.len());
+    assert_runs_match_the_per_frame_log(&results, &report);
+    for s in &report.shards {
+        assert!(s.timing_runs.len() > 1, "soc timings vary per frame");
     }
 }
