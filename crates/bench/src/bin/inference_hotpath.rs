@@ -38,12 +38,19 @@
 //! * best compiled MLP throughput across the sweep is at least
 //!   `MIN_MLP_FPS` frames/s when that env var is set.
 //!
+//! A second sweep measures the **sparse-vs-dense crossover** the default
+//! `PlanConfig::density_threshold` is set from: at each of
+//! [`CROSSOVER`]'s densities it lowers the same pruned firmware with
+//! `ForceDense` and with `ForceSparse` and times both at batch 1 and 8. It
+//! asserts nothing; its rows land in the JSON's `crossover` list.
+//!
 //! ```sh
 //! cargo run --release -p reads-bench --bin inference_hotpath
 //! ```
 
 use reads_hls4ml::{
-    convert, profile_model, sparsify_firmware, CompiledFirmware, Firmware, HlsConfig,
+    convert, profile_model, sparsify_firmware, CompiledFirmware, Firmware, HlsConfig, PlanConfig,
+    SparsityPolicy,
 };
 use reads_nn::models;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,6 +89,8 @@ const SET: usize = 32;
 /// Weight densities swept: dense, and pruned profiles down to the 90%
 /// sparsity regime the hls4ml literature targets.
 const DENSITIES: [f64; 4] = [1.0, 0.5, 0.25, 0.10];
+/// Densities of the forced dense-vs-sparse crossover sweep.
+const CROSSOVER: [f64; 4] = [0.5, 0.35, 0.25, 0.10];
 
 fn synth_frame(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -214,6 +223,53 @@ fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut 
     }
 }
 
+/// One crossover cell: the same pruned firmware under a forced dense and
+/// a forced sparse plan, at one batch size.
+struct Crossover {
+    model: &'static str,
+    density: f64,
+    batch: usize,
+    dense_ns: f64,
+    sparse_ns: f64,
+}
+
+fn crossover_model(name: &'static str, fw: &Firmware, rows: &mut Vec<Crossover>) {
+    let n_in = fw.input_len * fw.input_channels;
+    let inputs: Vec<Vec<f64>> = (0..SET)
+        .map(|i| synth_frame(n_in, SEED + i as u64))
+        .collect();
+    let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    for &density in &CROSSOVER {
+        let pruned = sparsify_firmware(fw, density, SEED ^ density.to_bits());
+        let ns = |sparsity: SparsityPolicy, batch: usize| {
+            let cfg = PlanConfig {
+                sparsity,
+                ..PlanConfig::default()
+            };
+            let compiled = CompiledFirmware::lower_with(&pruned, &cfg);
+            let mut scratch = compiled.scratch();
+            let mut out = vec![0.0; batch * compiled.output_len()];
+            measure(SET, || {
+                for group in refs.chunks_exact(batch) {
+                    let stats = compiled.infer_batch_into(group, &mut scratch, &mut out);
+                    std::hint::black_box(stats);
+                    std::hint::black_box(&out);
+                }
+            })
+            .1
+        };
+        for batch in [1usize, 8] {
+            rows.push(Crossover {
+                model: name,
+                density,
+                batch,
+                dense_ns: ns(SparsityPolicy::ForceDense, batch),
+                sparse_ns: ns(SparsityPolicy::ForceSparse, batch),
+            });
+        }
+    }
+}
+
 /// Best (lowest) ns/frame for one model × engine at one density.
 fn best_ns(rows: &[Cell], model: &str, engine: &str, density: f64) -> f64 {
     rows.iter()
@@ -262,6 +318,9 @@ fn main() {
     let mut rows = Vec::new();
     sweep_model("unet", &unet, &batches, &mut rows);
     sweep_model("mlp", &mlp, &batches, &mut rows);
+    let mut crossover = Vec::new();
+    crossover_model("unet", &unet, &mut crossover);
+    crossover_model("mlp", &mlp, &mut crossover);
 
     for c in &rows {
         println!(
@@ -274,6 +333,26 @@ fn main() {
             c.ns_per_frame,
             c.fps,
             c.allocs_per_frame
+        );
+    }
+
+    println!(
+        "\nsparse-vs-dense crossover (default threshold {}):",
+        PlanConfig::default().density_threshold
+    );
+    println!(
+        "{:>6} {:>8} {:>6} {:>14} {:>14} {:>13}",
+        "model", "density", "batch", "dense ns/fr", "sparse ns/fr", "sparse/dense"
+    );
+    for c in &crossover {
+        println!(
+            "{:>6} {:>8.2} {:>6} {:>14.0} {:>14.0} {:>13.2}",
+            c.model,
+            c.density,
+            c.batch,
+            c.dense_ns,
+            c.sparse_ns,
+            c.sparse_ns / c.dense_ns
         );
     }
 
@@ -360,12 +439,24 @@ fn main() {
             )
         })
         .collect();
+    let crossover_rows: Vec<String> = crossover
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"model\":\"{}\",\"density\":{},\"batch\":{},\"dense_ns_per_frame\":{:.1},\
+                 \"sparse_ns_per_frame\":{:.1}}}",
+                c.model, c.density, c.batch, c.dense_ns, c.sparse_ns
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"seed\":{SEED},\"min_speedup\":{min_speedup},\"unet_speedup\":{unet_speedup:.3},\
          \"unet_dense_speedup\":{unet_dense_speedup:.3},\"mlp_speedup\":{mlp_speedup:.3},\
          \"mlp_dense_speedup\":{mlp_dense_speedup:.3},\"mlp_best_fps\":{mlp_best_fps:.1},\
-         \"rows\":[{}]}}\n",
-        json_rows.join(",")
+         \"density_threshold\":{},\"rows\":[{}],\"crossover\":[{}]}}\n",
+        PlanConfig::default().density_threshold,
+        json_rows.join(","),
+        crossover_rows.join(",")
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -15,23 +15,46 @@
 //! the unfused engine and the interpreter bit for bit.
 //!
 //! A single frame (`L = 1`) has no frames to spread across lanes, but a
-//! conv has positions: narrow conv and conv→pool steps run [`LANES`]
-//! output positions at a time through the layer's `rows8` kernel (CSR
-//! lanes when the layer is sparse), gathering each position's im2col
-//! window into its own lane. Every output is still computed exactly once
-//! from the same exact integer products, so this too is reordering only.
+//! conv has positions: i32 and pair conv and conv→pool steps run
+//! [`LANES`] output positions at a time through the layer's `rows8`
+//! kernel (CSR lanes when the layer is sparse), gathering each position's
+//! im2col window into its own lane (a pair layer's `in_ch` is even, so a
+//! window gathers whole channel pairs). Every output is still computed
+//! exactly once from the same exact integer products, so this too is
+//! reordering only.
 //! The positions left over after the last whole block, and the wide path,
 //! run one at a time through [`conv_at`].
 
-use super::{call_rows, CDense};
+use super::{call_rows, CDense, Staged, Windows};
 use crate::compiled::LANES;
 use reads_fixed::Requant;
 use reads_tensor::activ::SigmoidTable;
 
+/// The zero-padded im2col window of the conv output at `pos`, copied tap
+/// by tap from a position-major input of `unit` elements per position.
+#[inline(always)]
+fn border<'w, T: Copy + Default>(
+    x: &[T],
+    unit: usize,
+    k: usize,
+    in_len: usize,
+    pos: usize,
+    win: &'w mut [T],
+) -> &'w [T] {
+    let win = &mut win[..k * unit];
+    for (tap, dst) in win.chunks_exact_mut(unit).enumerate() {
+        match (pos + tap).checked_sub(k / 2).filter(|&i| i < in_len) {
+            Some(i) => dst.copy_from_slice(&x[i * unit..(i + 1) * unit]),
+            None => dst.fill(T::default()),
+        }
+    }
+    win
+}
+
 /// Computes one conv output position into `out` (`rows × L` raws).
 /// Interior positions feed the im2col window as a contiguous slice of the
 /// (lane-interleaved, position-major) staged input; border positions
-/// gather taps into the window buffer with zero padding.
+/// gather taps into the class's window buffer with zero padding.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_at<const L: usize>(
@@ -40,87 +63,87 @@ pub(crate) fn conv_at<const L: usize>(
     k: usize,
     in_ch: usize,
     in_len: usize,
-    x64: &[i64],
-    x32: &[i32],
-    win64: &mut [i64],
-    win32: &mut [i32],
+    x: Staged<'_>,
+    win: &mut Windows,
     pos: usize,
     out: &mut [i64],
     ovf: &mut u64,
 ) {
-    let narrow = d.narrow();
-    let half = (k / 2) as isize;
-    let start = pos as isize - half;
-    if start >= 0 && (start as usize) + k <= in_len {
-        let at = (start as usize * in_ch) * L;
-        let n = k * in_ch * L;
-        if narrow {
-            call_rows::<L>(d, sig, &[], &x32[at..at + n], out, ovf);
-        } else {
-            call_rows::<L>(d, sig, &x64[at..at + n], &[], out, ovf);
-        }
-    } else {
-        for tap in 0..k {
-            let ipos = start + tap as isize;
-            let wat = tap * in_ch * L;
-            let n = in_ch * L;
-            if ipos < 0 || ipos >= in_len as isize {
-                if narrow {
-                    win32[wat..wat + n].fill(0);
-                } else {
-                    win64[wat..wat + n].fill(0);
-                }
-            } else {
-                let at = (ipos as usize * in_ch) * L;
-                if narrow {
-                    win32[wat..wat + n].copy_from_slice(&x32[at..at + n]);
-                } else {
-                    win64[wat..wat + n].copy_from_slice(&x64[at..at + n]);
-                }
+    let xs = match pos.checked_sub(k / 2).filter(|&s| s + k <= in_len) {
+        Some(start) => x.cols::<L>(start * in_ch, k * in_ch),
+        None => match x {
+            Staged::Wide(x) => Staged::Wide(border(x, in_ch * L, k, in_len, pos, &mut win.w64)),
+            Staged::I32(x) => Staged::I32(border(x, in_ch * L, k, in_len, pos, &mut win.w32)),
+            Staged::Pairs(x) => {
+                Staged::Pairs(border(x, in_ch / 2 * L, k, in_len, pos, &mut win.w16))
             }
-        }
-        let n = k * in_ch * L;
-        if narrow {
-            call_rows::<L>(d, sig, &[], &win32[..n], out, ovf);
-        } else {
-            call_rows::<L>(d, sig, &win64[..n], &[], out, ovf);
-        }
-    }
+        },
+    };
+    call_rows::<L>(d, sig, xs, out, ovf);
 }
 
 /// Gathers the im2col windows of [`LANES`] conv output positions into the
 /// lane-interleaved layout the `rows8` kernels read: lane `l` is output
-/// position `first + l·stride`, and `win[(tap·in_ch + ch)·LANES + l]` is
-/// the input at `first + l·stride − k/2 + tap`, zero outside the frame.
+/// position `first + l·stride`, and `win[(tap·unit + u)·LANES + l]` is
+/// element `u` of input position `first + l·stride − k/2 + tap`, zero
+/// outside the frame. An element is a channel (i32) or a channel pair.
 #[inline(always)]
-fn gather_positions(
-    x: &[i32],
+fn gather_positions<T: Copy + Default>(
+    x: &[T],
     k: usize,
-    in_ch: usize,
+    unit: usize,
     in_len: usize,
     first: usize,
     stride: usize,
-    win: &mut [i32],
+    win: &mut [T],
 ) {
     for l in 0..LANES {
         let pos = first + l * stride;
-        for (tap, col) in win.chunks_exact_mut(in_ch * LANES).enumerate() {
+        for (tap, col) in win.chunks_exact_mut(unit * LANES).enumerate() {
             match (pos + tap).checked_sub(k / 2).filter(|&i| i < in_len) {
                 Some(i) => {
                     for (w, &v) in col
                         .chunks_exact_mut(LANES)
-                        .zip(&x[i * in_ch..(i + 1) * in_ch])
+                        .zip(&x[i * unit..(i + 1) * unit])
                     {
                         w[l] = v;
                     }
                 }
                 None => {
                     for w in col.chunks_exact_mut(LANES) {
-                        w[l] = 0;
+                        w[l] = T::default();
                     }
                 }
             }
         }
+    }
+}
+
+/// The position-lane block of [`LANES`] outputs from `first` (step
+/// `stride`) of a one-frame staged input, in its operand class.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gather<'w>(
+    x: Staged<'_>,
+    k: usize,
+    in_ch: usize,
+    in_len: usize,
+    first: usize,
+    stride: usize,
+    win: &'w mut Windows,
+) -> Staged<'w> {
+    match x {
+        Staged::I32(x) => {
+            let w = &mut win.w32[..k * in_ch * LANES];
+            gather_positions(x, k, in_ch, in_len, first, stride, w);
+            Staged::I32(w)
+        }
+        Staged::Pairs(x) => {
+            let w = &mut win.w16[..k * in_ch / 2 * LANES];
+            gather_positions(x, k, in_ch / 2, in_len, first, stride, w);
+            Staged::Pairs(w)
+        }
+        Staged::Wide(_) => unreachable!("wide convs run one position at a time"),
     }
 }
 
@@ -137,9 +160,16 @@ fn scatter_positions(blk: &[i64], rows: usize, first: usize, stride: usize, dst:
     }
 }
 
-/// Unfused conv1d over all positions. A narrow single frame runs its
-/// positions [`LANES`] at a time: each block goes through `rows8` into
-/// `blk` (`rows × LANES`) and is transposed into `dst`.
+/// Whether a single frame's conv runs its positions as lanes: every
+/// class but wide.
+#[inline(always)]
+fn position_lanes<const L: usize>(x: Staged<'_>) -> bool {
+    L == 1 && !matches!(x, Staged::Wide(_))
+}
+
+/// Unfused conv1d over all positions. A single frame in the i32 or pair
+/// class runs its positions [`LANES`] at a time: each block goes through
+/// `rows8` into `blk` (`rows × LANES`) and is transposed into `dst`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv<const L: usize>(
@@ -148,30 +178,25 @@ pub(crate) fn run_conv<const L: usize>(
     k: usize,
     in_ch: usize,
     in_len: usize,
-    x64: &[i64],
-    x32: &[i32],
-    win64: &mut [i64],
-    win32: &mut [i32],
+    x: Staged<'_>,
+    win: &mut Windows,
     blk: &mut [i64],
     dst: &mut [i64],
     ovf: &mut u64,
 ) {
     let rows = d.rows;
     let mut tail = 0;
-    if L == 1 && d.narrow() {
+    if position_lanes::<L>(x) {
         tail = in_len - in_len % LANES;
-        let win = &mut win32[..k * in_ch * LANES];
         let blk = &mut blk[..rows * LANES];
         for base in (0..tail).step_by(LANES) {
-            gather_positions(x32, k, in_ch, in_len, base, 1, win);
-            call_rows::<LANES>(d, sig, &[], win, blk, ovf);
+            let xs = gather(x, k, in_ch, in_len, base, 1, win);
+            call_rows::<LANES>(d, sig, xs, blk, ovf);
             scatter_positions(blk, rows, base, 1, dst);
         }
     }
     for (pos, out) in dst.chunks_exact_mut(rows * L).enumerate().skip(tail) {
-        conv_at::<L>(
-            d, sig, k, in_ch, in_len, x64, x32, win64, win32, pos, out, ovf,
-        );
+        conv_at::<L>(d, sig, k, in_ch, in_len, x, win, pos, out, ovf);
     }
 }
 
@@ -179,11 +204,11 @@ pub(crate) fn run_conv<const L: usize>(
 /// (`(in_len / pool) × rows` positions); `conv_skip`, when present,
 /// receives the full conv output for a later concat.
 ///
-/// A narrow single frame runs blocks of `LANES · pool` positions first:
-/// slot `off` of the `pool × rows × LANES` ring takes one `rows8` pass
-/// whose lane `l` is position `base + l·pool + off`, so pooled output
-/// `base/pool + l` is the max over lane `l` of every slot — the same ring
-/// read the batch lanes do.
+/// A single frame in the i32 or pair class runs blocks of `LANES · pool`
+/// positions first: slot `off` of the `pool × rows × LANES` ring takes
+/// one `rows8` pass whose lane `l` is position `base + l·pool + off`, so
+/// pooled output `base/pool + l` is the max over lane `l` of every slot —
+/// the same ring read the batch lanes do.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_conv_pool<const L: usize>(
@@ -193,10 +218,8 @@ pub(crate) fn run_conv_pool<const L: usize>(
     in_ch: usize,
     in_len: usize,
     pool: usize,
-    x64: &[i64],
-    x32: &[i32],
-    win64: &mut [i64],
-    win32: &mut [i32],
+    x: Staged<'_>,
+    win: &mut Windows,
     rowtmp: &mut [i64],
     mut conv_skip: Option<&mut [i64]>,
     dst: &mut [i64],
@@ -205,15 +228,14 @@ pub(crate) fn run_conv_pool<const L: usize>(
     let ch = d.rows;
     let slot_n = ch * L;
     let mut tail = 0;
-    if L == 1 && d.narrow() {
+    if position_lanes::<L>(x) {
         let span = LANES * pool;
         tail = in_len - in_len % span;
-        let win = &mut win32[..k * in_ch * LANES];
         for base in (0..tail).step_by(span) {
             for off in 0..pool {
                 let slot = &mut rowtmp[off * ch * LANES..(off + 1) * ch * LANES];
-                gather_positions(x32, k, in_ch, in_len, base + off, pool, win);
-                call_rows::<LANES>(d, sig, &[], win, slot, ovf);
+                let xs = gather(x, k, in_ch, in_len, base + off, pool, win);
+                call_rows::<LANES>(d, sig, xs, slot, ovf);
                 if let Some(skip) = conv_skip.as_deref_mut() {
                     scatter_positions(slot, ch, base + off, pool, skip);
                 }
@@ -239,9 +261,7 @@ pub(crate) fn run_conv_pool<const L: usize>(
         let slot = pos % pool;
         {
             let out = &mut rowtmp[slot * slot_n..(slot + 1) * slot_n];
-            conv_at::<L>(
-                d, sig, k, in_ch, in_len, x64, x32, win64, win32, pos, out, ovf,
-            );
+            conv_at::<L>(d, sig, k, in_ch, in_len, x, win, pos, out, ovf);
             if let Some(skip) = conv_skip.as_deref_mut() {
                 skip[pos * slot_n..(pos + 1) * slot_n].copy_from_slice(out);
             }

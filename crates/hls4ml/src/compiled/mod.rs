@@ -18,9 +18,11 @@
 //! * each dense-like layer gets a **specialised MAC kernel** chosen once
 //!   by the planner ([`PlanConfig`]): weights that are exactly zero after
 //!   quantization are pruned into a CSR-by-output-row sparse kernel when
-//!   the measured density warrants it, common column widths are
-//!   monomorphised over const generics so their loops fully unroll, and
-//!   AVX2 / AVX-512 instantiations are selected by runtime feature
+//!   the measured density warrants it, layers whose operands fit `i16`
+//!   (every layer of a ⟨16,x⟩ build but an odd-channel conv) multiply in
+//!   `i16` pairs with `vpmaddwd`, common column widths of the `i32` family
+//!   are monomorphised over const generics so their loops fully unroll,
+//!   and AVX2 / AVX-512 instantiations are selected by runtime feature
 //!   detection — all stored as plain function pointers, so the per-frame
 //!   path performs no dispatch;
 //! * frames execute **batch-major**: up to `LANES` (8) frames travel
@@ -60,6 +62,10 @@
 //!   quantizes to raw `0` and indexes the sigmoid table identically);
 //! * **SIMD, batch lanes and position lanes** only reassociate the same
 //!   exact integer products, and every position is computed once;
+//! * **operand class** changes only the width a product is formed in: an
+//!   `i16` pair sum is at most `2·32768·32767 < 2³¹` (inputs `|x| ≤ 2¹⁵`,
+//!   weights `|w| ≤ 32767`), so it is exact in `i32` before it is widened
+//!   into the `i64` accumulator;
 //! * **fusion** reorders *when* elements are computed, never the
 //!   arithmetic; positions a pool drops are still computed so overflow
 //!   statistics match.
@@ -73,7 +79,7 @@ mod kernels;
 mod planner;
 
 use crate::firmware::{Firmware, FwNode, InferenceStats};
-use kernels::{call_rows, fused, stage, stage_i32, CDense};
+use kernels::{call_rows, fused, stage, CDense, Windows};
 use reads_fixed::{Fx, Overflow, OverflowStats, QFormat, Requant, Rounding};
 use reads_tensor::activ::SigmoidTable;
 use serde::{Deserialize, Serialize};
@@ -139,12 +145,15 @@ pub enum SparsityPolicy {
     ForceSparse,
 }
 
-/// Which kernel family the planner selected for a node.
+/// Which kernel family the planner selected for a node. The operand
+/// class a dense-like node multiplies in is orthogonal to it; see
+/// [`KernelMix::pairs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
-    /// Narrow dense MAC, runtime column width.
+    /// Dense MAC at runtime column width: the `i16`-pair family, or the
+    /// `i32` family at a width without a const instantiation.
     Dense,
-    /// Narrow dense MAC monomorphised over a const column width.
+    /// `i32` dense MAC monomorphised over a const column width.
     DenseMono,
     /// Wide (`i64`) dense fallback.
     DenseWide,
@@ -167,6 +176,10 @@ pub struct KernelMix {
     pub wide: u32,
     /// Nodes on the CSR sparse kernel.
     pub sparse: u32,
+    /// Dense-like nodes whose MACs run on the i16-pair (`vpmaddwd`)
+    /// family. Operand class is orthogonal to the kernel kind: these
+    /// nodes are also counted in `dense`.
+    pub pairs: u32,
     /// Fusion sites (`conv→pool`, `upsample→concat`) collapsed into
     /// single-pass kernels.
     pub fused: u32,
@@ -187,7 +200,11 @@ pub struct PlanConfig {
     /// Sparse-vs-dense kernel policy.
     pub sparsity: SparsityPolicy,
     /// Density at or below which [`SparsityPolicy::Auto`] picks the sparse
-    /// kernel.
+    /// kernel. The default, 0.4, sits above the measured crossover: with
+    /// dense layers on i16 pairs, CSR beats them on the batch-1 U-Net only
+    /// below a density of about 0.3 (`inference_hotpath`'s crossover
+    /// sweep), and loses at 0.35 and 0.5. It stays above 0.35 because the
+    /// 35 %-density golden fixtures pin that they lower to CSR kernels.
     pub density_threshold: f64,
     /// Fuse `conv1d→maxpool` and `upsample→concat` chains.
     pub fuse: bool,
@@ -198,7 +215,7 @@ impl Default for PlanConfig {
         Self {
             simd: SimdPref::Auto,
             sparsity: SparsityPolicy::Auto,
-            density_threshold: 0.5,
+            density_threshold: 0.4,
             fuse: true,
         }
     }
@@ -263,21 +280,34 @@ struct Step {
     retain_slot: Option<usize>,
 }
 
+/// Per-lane staging sizes by operand class, recorded at lowering so
+/// [`Scratch`] holds only the buffers some layer reads: staged inputs of
+/// the i32 (`x32`, columns) and pair (`x16`, column pairs) layers, and
+/// conv windows per class (columns, or pairs for `win16`).
+#[derive(Debug, Clone, Copy, Default)]
+struct StageSizes {
+    x32: usize,
+    x16: usize,
+    win64: usize,
+    win32: usize,
+    win16: usize,
+}
+
 /// Reusable working memory for the compiled engine: lane-interleaved
 /// ping-pong layer buffers, retained skip-connection buffers, conv window
-/// and fusion ring staging, narrow (`i32`) input staging, the dequantized
-/// output frames, and the statistics block — everything a batch touches,
-/// sized once by [`CompiledFirmware::scratch`].
+/// and fusion ring staging, `i32` and `i16`-pair input staging, the
+/// dequantized output frames, and the statistics block — everything a
+/// batch touches, sized once by [`CompiledFirmware::scratch`].
 #[derive(Debug, Clone)]
 pub struct Scratch {
     a: Vec<i64>,
     b: Vec<i64>,
-    /// Conv border-window staging, wide path.
-    win64: Vec<i64>,
-    /// Conv border-window staging, narrow path.
-    win32: Vec<i32>,
-    /// Narrowed layer-input staging for the `i32` widening-MAC kernels.
+    /// Conv border-window and position-lane staging, per operand class.
+    win: Windows,
+    /// Layer-input staging for the `i32` widening-MAC and CSR kernels.
     x32: Vec<i32>,
+    /// Layer-input staging for the `i16`-pair kernels, `[pair][lane]`.
+    x16: Vec<[i16; 2]>,
     /// `pool × channels × LANES` ring for the fused conv→pool kernel, and
     /// the `channels × LANES` position block of a batch-1 conv.
     rowtmp: Vec<i64>,
@@ -293,6 +323,15 @@ impl Scratch {
             *s = OverflowStats::default();
         }
     }
+}
+
+/// A zeroed scratch buffer. One out-of-line allocation site per element
+/// type, so the zeroed allocation reaches the allocator as `calloc`: a
+/// buffer sized for eight lanes but driven at one keeps its untouched
+/// pages unmapped.
+#[inline(never)]
+fn zeroed<T: Clone + Default>(n: usize) -> Vec<T> {
+    vec![T::default(); n]
 }
 
 /// A [`Firmware`] lowered into planner-specialised integer-quanta kernels.
@@ -321,7 +360,7 @@ pub struct CompiledFirmware {
     out_lsb: f64,
     digest: u64,
     max_elems: usize,
-    max_window: usize,
+    stage_sizes: StageSizes,
     /// Largest conv `rows` (× `pool` when fused): `rowtmp` is this × `LANES`.
     max_rowtmp: usize,
     skip_sizes: Vec<usize>,
@@ -361,18 +400,18 @@ impl CompiledFirmware {
     #[must_use]
     pub fn scratch(&self) -> Scratch {
         Scratch {
-            a: vec![0; self.max_elems * LANES],
-            b: vec![0; self.max_elems * LANES],
-            win64: vec![0; self.max_window * LANES],
-            win32: vec![0; self.max_window * LANES],
-            x32: vec![0; self.max_elems * LANES],
-            rowtmp: vec![0; self.max_rowtmp * LANES],
-            skips: self
-                .skip_sizes
-                .iter()
-                .map(|&n| vec![0; n * LANES])
-                .collect(),
-            out: vec![0.0; self.output_len * LANES],
+            a: zeroed(self.max_elems * LANES),
+            b: zeroed(self.max_elems * LANES),
+            win: Windows {
+                w64: zeroed(self.stage_sizes.win64 * LANES),
+                w32: zeroed(self.stage_sizes.win32 * LANES),
+                w16: zeroed(self.stage_sizes.win16 * LANES),
+            },
+            x32: zeroed(self.stage_sizes.x32 * LANES),
+            x16: zeroed(self.stage_sizes.x16 * LANES),
+            rowtmp: zeroed(self.max_rowtmp * LANES),
+            skips: self.skip_sizes.iter().map(|&n| zeroed(n * LANES)).collect(),
+            out: zeroed(self.output_len * LANES),
             stats: InferenceStats {
                 input: OverflowStats::default(),
                 per_node: vec![OverflowStats::default(); self.n_nodes],
@@ -389,9 +428,9 @@ impl CompiledFirmware {
         let Scratch {
             a,
             b,
-            win64,
-            win32,
+            win,
             x32,
+            x16,
             rowtmp,
             skips,
             out,
@@ -426,40 +465,27 @@ impl CompiledFirmware {
                 let (src, dst) = (&a[..cur_elems * L], &mut b[..out_elems * L]);
                 match &step.kernel {
                     StepKernel::Dense(d) => {
-                        let (x64, xs) = stage(d, src, x32);
-                        call_rows::<L>(d, &self.sigmoid, x64, xs, dst, &mut ovf);
+                        let xs = stage::<L>(d, src, d.cols, x32, x16);
+                        call_rows::<L>(d, &self.sigmoid, xs, dst, &mut ovf);
                     }
                     StepKernel::Pointwise(d) => {
-                        if d.narrow() {
-                            let x32 = &mut x32[..cur_elems * L];
-                            stage_i32(src, x32);
-                            for (xs, o) in x32
-                                .chunks_exact(d.cols * L)
-                                .zip(dst.chunks_exact_mut(d.rows * L))
-                            {
-                                call_rows::<L>(d, &self.sigmoid, &[], xs, o, &mut ovf);
-                            }
-                        } else {
-                            for (xs, o) in src
-                                .chunks_exact(d.cols * L)
-                                .zip(dst.chunks_exact_mut(d.rows * L))
-                            {
-                                call_rows::<L>(d, &self.sigmoid, xs, &[], o, &mut ovf);
-                            }
+                        let xs = stage::<L>(d, src, d.cols, x32, x16);
+                        let w = d.staged_cols();
+                        for (pos, o) in dst.chunks_exact_mut(d.rows * L).enumerate() {
+                            let x = xs.cols::<L>(pos * w, w);
+                            call_rows::<L>(d, &self.sigmoid, x, o, &mut ovf);
                         }
                     }
                     StepKernel::Conv { d, k, in_ch } => {
-                        let (x64, xs) = stage(d, src, x32);
+                        let xs = stage::<L>(d, src, *in_ch, x32, x16);
                         fused::run_conv::<L>(
                             d,
                             &self.sigmoid,
                             *k,
                             *in_ch,
                             cur_len,
-                            x64,
                             xs,
-                            win64,
-                            win32,
+                            win,
                             rowtmp,
                             dst,
                             &mut ovf,
@@ -472,7 +498,7 @@ impl CompiledFirmware {
                         pool,
                         conv_skip,
                     } => {
-                        let (x64, xs) = stage(d, src, x32);
+                        let xs = stage::<L>(d, src, *in_ch, x32, x16);
                         fused::run_conv_pool::<L>(
                             d,
                             &self.sigmoid,
@@ -480,10 +506,8 @@ impl CompiledFirmware {
                             *in_ch,
                             cur_len,
                             *pool,
-                            x64,
                             xs,
-                            win64,
-                            win32,
+                            win,
                             rowtmp,
                             conv_skip.map(|s| skips[s].as_mut_slice()),
                             dst,
@@ -1023,6 +1047,22 @@ mod tests {
             fw.nodes.len(),
             "every node carries a kernel kind"
         );
+        // Every dense-like node but the single-channel input conv (odd
+        // in_ch) runs i16 pairs; operand class leaves the kinds alone.
+        assert_eq!(mix.pairs, 5, "pair layers: {mix:?}");
+        assert_eq!(mix.pairs, mix.dense, "pair layers are runtime-width dense");
+        let [uniform_18_10, ..] = crate::PrecisionStrategy::table2_rows();
+        let wide = convert(
+            &models::reads_unet(5),
+            &profile_model(&models::reads_unet(5), &[synth_frame(260, 12)]),
+            &HlsConfig::with_strategy(uniform_18_10),
+        );
+        let wide_mix = CompiledFirmware::lower(&wide).kernel_mix();
+        assert_eq!(
+            wide_mix.pairs, 0,
+            "18-bit raws never fit pairs: {wide_mix:?}"
+        );
+        assert_eq!(wide_mix.dense + wide_mix.mono, 6);
         let unfused = CompiledFirmware::lower_with(
             &fw,
             &PlanConfig {

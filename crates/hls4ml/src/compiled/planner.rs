@@ -10,10 +10,14 @@
 //!   kernel, otherwise to the dense kernel (the prune-only-exact-zeros
 //!   invariant keeps both bit-identical, so the choice is purely a
 //!   performance decision).
-//! * **Monomorphisation** — layers whose column width has a dedicated
-//!   const-generic instantiation get it; the rest use the runtime-width
-//!   body. The selected `(L = 1, L = 8)` function pointers are stored on
-//!   the layer — dispatch happens here, never per frame.
+//! * **Operand class** — a layer whose input raws fit `i16` and whose
+//!   weight raws lie in `[−32767, 32767]` multiplies in `i16` pairs
+//!   (`vpmaddwd`), unless it is sparse or a conv with odd `in_ch`; else
+//!   in `i32`; else in `i64` ([`operand_class`]).
+//! * **Monomorphisation** — `i32` layers whose column width has a
+//!   dedicated const-generic instantiation get it; the rest use the
+//!   runtime-width body. The selected `(L = 1, L = 8)` function pointers
+//!   are stored on the layer — dispatch happens here, never per frame.
 //! * **SIMD** — the highest instruction set both the CPU (runtime
 //!   detection) and [`PlanConfig::simd`] allow is chosen for every MAC
 //!   function pointer.
@@ -25,10 +29,10 @@
 //! content digest — only in speed. The kernel conformance suite and the
 //! sparse differential proptest enforce that.
 
-use super::kernels::{dense, sparse, CAct, CDense, Csr};
+use super::kernels::{dense, sparse, CAct, CDense, Csr, Operands, PAIR_W_BOUND, PAIR_X_BOUND};
 use super::{
     CompiledFirmware, KernelKind, KernelMix, LayerOps, PlanConfig, SimdLevel, SimdPref,
-    SparsityPolicy, Step, StepKernel, EXACT_BOUND,
+    SparsityPolicy, StageSizes, Step, StepKernel, EXACT_BOUND,
 };
 use crate::firmware::{Firmware, FwActivation, FwDense, FwNode};
 use reads_fixed::{Fx, Overflow, QFormat, Rounding};
@@ -104,7 +108,7 @@ fn dyadic_frac(vals: &[f64]) -> i32 {
 
 /// Builds the CSR form of a narrowed weight matrix over its exact-zero
 /// structure.
-fn build_csr(w32: &[i32], rows: usize, cols: usize) -> Csr {
+pub(super) fn build_csr(w32: &[i32], rows: usize, cols: usize) -> Csr {
     let mut row_ptr = Vec::with_capacity(rows + 1);
     let mut idx = Vec::new();
     let mut w = Vec::new();
@@ -121,13 +125,38 @@ fn build_csr(w32: &[i32], rows: usize, cols: usize) -> Csr {
     Csr { row_ptr, idx, w }
 }
 
+/// The operand-class decision for a dense-like layer, made once here.
+///
+/// * [`Operands::Pairs`] when the layer's layout keeps pairs whole
+///   (`pairable`: a conv's `in_ch` is even, so an im2col window never
+///   starts inside a pair), every input raw fits `i16`
+///   (`in_bound ≤ 2¹⁵`) and every weight raw lies in `[−32767, 32767]`.
+///   Each pair sum is then at most `2·32768·32767 = 2 147 418 112 < 2³¹`,
+///   exact in `vpmaddwd`'s `i32` slot; the row bound checked in
+///   [`lower_dense`] still covers the `i64` sum of the pair sums.
+/// * [`Operands::I32`] when every weight and the input bound fit `i32`:
+///   the widening product is exact. A `−32768` weight raw (which an SEU
+///   flip of a 16-bit weight can produce) lands here.
+/// * [`Operands::Wide`] otherwise.
+fn operand_class(w: &[i64], in_bound: i64, pairable: bool) -> Operands {
+    if pairable && in_bound <= PAIR_X_BOUND && w.iter().all(|v| v.abs() <= PAIR_W_BOUND) {
+        Operands::Pairs
+    } else if in_bound <= i64::from(i32::MAX) && w.iter().all(|&v| i32::try_from(v).is_ok()) {
+        Operands::I32
+    } else {
+        Operands::Wide
+    }
+}
+
 /// Lowers one dense-like kernel given the input grid and raw bound, and
-/// plans its MAC instantiation (sparse vs dense, mono vs generic width,
-/// SIMD level).
+/// plans its MAC instantiation (operand class, sparse vs dense, mono vs
+/// generic width, SIMD level). `pairable` is false for a conv whose
+/// `in_ch` is odd.
 fn lower_dense(
     d: &FwDense,
     in_grid: i32,
     in_bound: i64,
+    pairable: bool,
     sigmoid: &SigmoidTable,
     cfg: &PlanConfig,
     simd: SimdLevel,
@@ -199,16 +228,7 @@ fn lower_dense(
         }
     };
 
-    // Narrow path guard: every product the kernel forms is w·x with
-    // |x| ≤ in_bound, so if both operands fit in i32 the widening multiply
-    // computes the identical i64 product.
-    let narrow = in_bound <= i64::from(i32::MAX) && w.iter().all(|&v| i32::try_from(v).is_ok());
-    let w32: Vec<i32> = if narrow {
-        w.iter().map(|&v| v as i32).collect()
-    } else {
-        Vec::new()
-    };
-
+    let fit = operand_class(&w, in_bound, pairable);
     let nnz = w.iter().filter(|&&v| v != 0).count();
     let density = nnz as f64 / (d.rows * d.cols).max(1) as f64;
     let want_sparse = match cfg.sparsity {
@@ -216,39 +236,53 @@ fn lower_dense(
         SparsityPolicy::ForceSparse => true,
         SparsityPolicy::Auto => density <= cfg.density_threshold,
     };
-
-    let (csr, kind) = if narrow && want_sparse {
-        (Some(build_csr(&w32, d.rows, d.cols)), KernelKind::Sparse)
-    } else if narrow && dense::is_mono(d.cols) {
-        (None, KernelKind::DenseMono)
-    } else if narrow {
-        (None, KernelKind::Dense)
-    } else {
-        (None, KernelKind::DenseWide)
+    // The CSR lanes multiply in i32, so a sparse layer takes that class
+    // even when its operands would fit pairs. The pair family has one
+    // runtime-width instantiation, so a pair layer is `Dense`.
+    let (operands, kind) = match fit {
+        Operands::Wide => (Operands::Wide, KernelKind::DenseWide),
+        _ if want_sparse => (Operands::I32, KernelKind::Sparse),
+        Operands::Pairs => (Operands::Pairs, KernelKind::Dense),
+        Operands::I32 if dense::is_mono(d.cols) => (Operands::I32, KernelKind::DenseMono),
+        Operands::I32 => (Operands::I32, KernelKind::Dense),
     };
 
-    let (rows1, rows8) = match kind {
+    let (rows1, rows8) = match (operands, kind) {
         // CSR pays off only on lane passes, where each retained weight is
         // amortised over 8 lanes — 8 frames, or 8 positions of one frame's
         // conv. `rows1` serves only one-position passes (dense layers, the
         // pointwise head, a conv's tail positions), which would lose the
         // columnar vectorisation a dense row gives, so a sparse layer
-        // keeps the dense body there. Both compute the identical sum —
+        // keeps the i32 dense body there. Both compute the identical sum —
         // pruned weights are exactly zero.
-        KernelKind::Sparse => (dense::pair(d.cols, simd).0, sparse::pair(simd).1),
-        KernelKind::DenseWide => dense::wide_pair(simd),
-        _ => dense::pair(d.cols, simd),
+        (_, KernelKind::Sparse) => (dense::i32_fns(d.cols, simd).0, sparse::rows8(simd)),
+        (Operands::Wide, _) => dense::wide_fns(simd),
+        (Operands::Pairs, _) => dense::pair_fns(simd),
+        (Operands::I32, _) => dense::i32_fns(d.cols, simd),
     };
 
+    // One weight store per layer, the one its operand class reads (plus
+    // the CSR beside a sparse layer's i32 rows).
+    let w32: Vec<i32> = if operands == Operands::I32 {
+        w.iter().map(|&v| v as i32).collect()
+    } else {
+        Vec::new()
+    };
+    let w16 = if operands == Operands::Pairs {
+        pack_pairs(&w, d.rows, d.cols)
+    } else {
+        Vec::new()
+    };
+    let csr = (kind == KernelKind::Sparse).then(|| build_csr(&w32, d.rows, d.cols));
+
     CDense {
-        // One weight store per layer: the narrow kernels read `w32` (or
-        // the CSR), so the `i64` copy survives only for the wide fallback.
-        w: if kind == KernelKind::DenseWide {
+        w: if operands == Operands::Wide {
             w
         } else {
             Vec::new()
         },
         w32,
+        w16,
         csr,
         b: b.into_iter()
             .map(|v| i64::try_from(v).expect("bias within exactness bound"))
@@ -257,9 +291,45 @@ fn lower_dense(
         cols: d.cols,
         prod_shift,
         act,
+        operands,
         kind,
         rows1,
         rows8,
+    }
+}
+
+/// Packs a pair layer's weight raws row by row into `[i16; 2]` pairs,
+/// padding an odd-width row's last pair with a zero weight (its staged
+/// input column is zero too).
+fn pack_pairs(w: &[i64], rows: usize, cols: usize) -> Vec<[i16; 2]> {
+    let narrow = |v: i64| i16::try_from(v).expect("pair weight fits i16");
+    let mut out = Vec::with_capacity(rows * cols.div_ceil(2));
+    for row in w.chunks_exact(cols.max(1)).take(rows) {
+        for p in row.chunks(2) {
+            out.push([narrow(p[0]), p.get(1).map_or(0, |&v| narrow(v))]);
+        }
+    }
+    out
+}
+
+impl StageSizes {
+    /// Records a dense-like layer's staged input: `groups` groups of
+    /// `group` columns (the pair class pads each group to even).
+    fn stage(&mut self, c: &CDense, groups: usize, group: usize) {
+        match c.operands {
+            Operands::Pairs => self.x16 = self.x16.max(groups * group.div_ceil(2)),
+            Operands::I32 => self.x32 = self.x32.max(groups * group),
+            Operands::Wide => {}
+        }
+    }
+
+    /// Records a conv's im2col window of `cols` columns.
+    fn window(&mut self, c: &CDense, cols: usize) {
+        match c.operands {
+            Operands::Pairs => self.win16 = self.win16.max(cols / 2),
+            Operands::I32 => self.win32 = self.win32.max(cols),
+            Operands::Wide => self.win64 = self.win64.max(cols),
+        }
     }
 }
 
@@ -290,7 +360,7 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
     let mut cur_grid = input_fmt.frac_bits();
     let mut cur_bound = fmt_raw_bound(input_fmt);
     let mut max_elems = fw.input_len * fw.input_channels;
-    let mut max_window = 0usize;
+    let mut sizes = StageSizes::default();
     let mut max_rowtmp = 0usize;
     let mut fused_sites = 0u32;
 
@@ -306,7 +376,8 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
         max_elems = max_elems.max(out_elems);
         match &fw.nodes[i] {
             FwNode::Dense(d) => {
-                let c = lower_dense(d, cur_grid, cur_bound, &fw.sigmoid, cfg, simd);
+                let c = lower_dense(d, cur_grid, cur_bound, true, &fw.sigmoid, cfg, simd);
+                sizes.stage(&c, 1, in_len * in_ch);
                 cur_grid = d.out_quant.format().frac_bits();
                 cur_bound = fmt_raw_bound(d.out_quant.format());
                 grids.push(cur_grid);
@@ -326,7 +397,8 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
                 i += 1;
             }
             FwNode::PointwiseDense(d) => {
-                let c = lower_dense(d, cur_grid, cur_bound, &fw.sigmoid, cfg, simd);
+                let c = lower_dense(d, cur_grid, cur_bound, true, &fw.sigmoid, cfg, simd);
+                sizes.stage(&c, in_len, in_ch);
                 cur_grid = d.out_quant.format().frac_bits();
                 cur_bound = fmt_raw_bound(d.out_quant.format());
                 grids.push(cur_grid);
@@ -346,12 +418,14 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
                 i += 1;
             }
             FwNode::Conv1d { d, k } => {
-                let c = lower_dense(d, cur_grid, cur_bound, &fw.sigmoid, cfg, simd);
+                let pairable = in_ch.is_multiple_of(2);
+                let c = lower_dense(d, cur_grid, cur_bound, pairable, &fw.sigmoid, cfg, simd);
+                sizes.stage(&c, in_len, in_ch);
+                sizes.window(&c, k * in_ch);
                 cur_grid = d.out_quant.format().frac_bits();
                 cur_bound = fmt_raw_bound(d.out_quant.format());
                 grids.push(cur_grid);
                 kinds.push(c.kind);
-                max_window = max_window.max(k * in_ch);
                 // A batch-1 position block is `rows × LANES`, as is one
                 // slot of the fused ring below.
                 max_rowtmp = max_rowtmp.max(d.rows);
@@ -582,6 +656,15 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
         fused: fused_sites,
         ..KernelMix::default()
     };
+    for step in &steps {
+        if let StepKernel::Dense(c)
+        | StepKernel::Pointwise(c)
+        | StepKernel::Conv { d: c, .. }
+        | StepKernel::ConvPool { d: c, .. } = &step.kernel
+        {
+            mix.pairs += u32::from(c.operands == Operands::Pairs);
+        }
+    }
     for k in &kinds {
         match k {
             KernelKind::Dense => mix.dense += 1,
@@ -605,7 +688,7 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
         out_lsb: f64::from(-cur_grid).exp2(),
         digest: fw.content_digest(),
         max_elems,
-        max_window,
+        stage_sizes: sizes,
         max_rowtmp,
         skip_sizes,
         layer_ops,

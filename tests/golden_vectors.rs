@@ -104,7 +104,7 @@ fn cases() -> Vec<(&'static str, u64, usize, f64)> {
         ("mlp", 3, 6, 1.0),
         ("mlp", 17, 4, 1.0),
         ("unet", 7, 4, 1.0),
-        // Pruned profiles: the planner's density threshold is 0.5, so these
+        // Pruned profiles: the planner's density threshold is 0.4, so these
         // lower to CSR sparse kernels under the default (Auto) plan.
         ("mlp", 3, 6, 0.35),
         ("unet", 7, 4, 0.35),

@@ -25,14 +25,22 @@
 //! * amplitudes inside and far outside the calibrated range, so the
 //!   overflow counters under comparison are non-trivially non-zero.
 //!
+//! The i16-pair family (`vpmaddwd`) gets its own edges: every input raw
+//! at −32768 against weight raws of ±32767 (the largest pair sum), odd
+//! widths (a zero-padded last pair), row counts that leave a tail after
+//! the 4-row blocks, an odd-`in_ch` conv and a −32768 weight raw (both
+//! stay on i32), and an ⟨18,10⟩ build that runs no pair layer at all.
+//!
 //! The deterministic tests sweep the full width × density × batch × plan
 //! matrix; the proptest layer then fuzzes random corners of the same
 //! space with seeded shrinking.
 
 use proptest::prelude::*;
+use reads::fixed::QFormat;
+use reads::hls4ml::firmware::FwNode;
 use reads::hls4ml::{
     convert, profile_model, CompiledFirmware, Firmware, HlsConfig, InferenceStats, PlanConfig,
-    SimdPref, SparsityPolicy,
+    PrecisionStrategy, SimdPref, SparsityPolicy,
 };
 use reads::nn::{DenseParams, Layer, Model};
 use reads::tensor::{Activation, Mat};
@@ -160,10 +168,66 @@ fn frame(n: usize, salt: u64, amp: f64) -> Vec<f64> {
 }
 
 fn lower_to_firmware(m: &Model) -> Firmware {
+    lower_with_config(m, &HlsConfig::paper_default())
+}
+
+fn lower_with_config(m: &Model, cfg: &HlsConfig) -> Firmware {
     let (len, ch) = m.input_shape();
     let calib: Vec<Vec<f64>> = (0..4).map(|f| frame(len * ch, f + 900, 2.0)).collect();
     let profile = profile_model(m, &calib);
-    convert(m, &profile, &HlsConfig::paper_default())
+    convert(m, &profile, cfg)
+}
+
+/// The value whose raw on `fmt`'s grid is `raw`.
+fn on_grid(fmt: QFormat, raw: i64) -> f64 {
+    raw as f64 * fmt.lsb()
+}
+
+/// Overwrites dense node `node`'s weights with the raws `raw(i)`.
+fn set_weight_raws(fw: &mut Firmware, node: usize, raw: impl Fn(usize) -> i64) {
+    let FwNode::Dense(d) = &mut fw.nodes[node] else {
+        panic!("node {node} is not a dense node")
+    };
+    let fmt = d.weight_fmt;
+    for (i, w) in d.weights.iter_mut().enumerate() {
+        *w = on_grid(fmt, raw(i));
+    }
+}
+
+/// Pair layers a plan lowers `fw` to.
+fn pair_layers(fw: &Firmware, cfg: &PlanConfig) -> u32 {
+    CompiledFirmware::lower_with(fw, cfg).kernel_mix().pairs
+}
+
+/// Asserts `frames` conform on every plan, batch 1 and 8 lanes both.
+fn assert_frames_conform(fw: &Firmware, frames: &[Vec<f64>], tag: &str) {
+    let (want, want_stats) = reference(fw, frames);
+    for cfg in plans() {
+        let engine = CompiledFirmware::lower_with(fw, &cfg);
+        let (got, got_stats) = engine.infer_batch(frames);
+        for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+            let g_bits: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+            let w_bits: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                g_bits, w_bits,
+                "{tag} frame {f}: outputs diverge under {cfg:?}"
+            );
+        }
+        assert_eq!(
+            got_stats, want_stats,
+            "{tag}: counters diverge under {cfg:?}"
+        );
+        let (one, one_stats) = engine.infer(&frames[0]);
+        let (first, first_stats) = reference(fw, &frames[..1]);
+        assert_eq!(
+            one, first[0],
+            "{tag}: batch-1 output diverges under {cfg:?}"
+        );
+        assert_eq!(
+            one_stats, first_stats,
+            "{tag}: batch-1 counters under {cfg:?}"
+        );
+    }
 }
 
 /// Every plan the build-time dispatcher can produce on this host.
@@ -367,6 +431,117 @@ fn overflow_counters_match_on_saturating_frames() {
     }
 }
 
+/// The pair-sum edge: every input raw −32768 against weight raws of
+/// ±32767, so every `vpmaddwd` slot sums two products of 32768·32767.
+/// `259 → 518 → 2` has an odd width, a 518-row layer (two rows past the
+/// last 4-row block) and a 2-row layer; `3 → 6 → 2` puts 3 columns under
+/// a Dense node.
+#[test]
+fn pair_family_is_exact_at_the_pair_sum_edge() {
+    let dense = PlanConfig {
+        sparsity: SparsityPolicy::ForceDense,
+        ..PlanConfig::default()
+    };
+    for (in_w, hidden, out_w) in [(259usize, 518usize, 2usize), (3, 6, 2)] {
+        let mut fw = lower_to_firmware(&tiny_mlp(in_w, hidden, out_w, 100, 41));
+        set_weight_raws(&mut fw, 0, |i| {
+            if (i * 7 + i / 3) % 5 < 2 {
+                -32767
+            } else {
+                32767
+            }
+        });
+        assert_eq!(pair_layers(&fw, &dense), 2, "{in_w}: both layers on pairs");
+        let lowest = on_grid(fw.input_quant.format(), -32768);
+        let edge = vec![lowest; in_w];
+        let frames: Vec<Vec<f64>> = (0..8)
+            .map(|f| {
+                if f % 2 == 0 {
+                    edge.clone()
+                } else {
+                    frame(in_w, f, 3.0)
+                }
+            })
+            .collect();
+        assert_frames_conform(&fw, &frames, &format!("edge {in_w}x{hidden}x{out_w}"));
+    }
+}
+
+/// A weight raw of −32768 (what an SEU flip of a 16-bit weight's sign bit
+/// can leave) would let two products sum to 2³¹; its layer alone moves to
+/// the i32 family and the network stays bit-identical.
+#[test]
+fn seu_weight_raw_sends_its_layer_to_i32() {
+    let dense = PlanConfig {
+        sparsity: SparsityPolicy::ForceDense,
+        ..PlanConfig::default()
+    };
+    let mut fw = lower_to_firmware(&tiny_mlp(259, 518, 2, 100, 43));
+    assert_eq!(pair_layers(&fw, &dense), 2);
+    set_weight_raws(&mut fw, 0, |i| match i {
+        17 | 300 => -32768,
+        _ if i % 3 == 0 => -32767,
+        _ => 32767,
+    });
+    assert_eq!(
+        pair_layers(&fw, &dense),
+        1,
+        "the flipped layer leaves pairs"
+    );
+    let lowest = on_grid(fw.input_quant.format(), -32768);
+    let frames: Vec<Vec<f64>> = (0..9)
+        .map(|f| {
+            if f < 4 {
+                vec![lowest; 259]
+            } else {
+                frame(259, f, 2.5)
+            }
+        })
+        .collect();
+    assert_frames_conform(&fw, &frames, "seu -32768 weight");
+}
+
+/// Convs whose `in_ch` is odd stay on i32 (an im2col window would start
+/// inside a pair); the even-`in_ch` conv and the head run pairs, and the
+/// mix conforms at batch 1 (position lanes) and 8.
+#[test]
+fn odd_in_ch_convs_stay_on_i32() {
+    let dense = PlanConfig {
+        sparsity: SparsityPolicy::ForceDense,
+        ..PlanConfig::default()
+    };
+    // conv_pool_net: in_ch 1, 5, 6, then a 9-column head.
+    let fw = lower_to_firmware(&conv_pool_net(17, 3, 2, 100, 5));
+    let mix = CompiledFirmware::lower_with(&fw, &dense).kernel_mix();
+    assert_eq!(mix.pairs, 2, "the in_ch 6 conv and the head: {mix:?}");
+    assert_eq!(
+        mix.dense + mix.mono,
+        4,
+        "every conv is still dense: {mix:?}"
+    );
+    let frames: Vec<Vec<f64>> = (0..9).map(|f| frame(34, f, 40.0)).collect();
+    assert_frames_conform(&fw, &frames, "odd in_ch conv net");
+}
+
+/// An ⟨18,10⟩ uniform build has 18-bit raws, beyond `i16`: no layer runs
+/// pairs, and the i32 family computes it exactly.
+#[test]
+fn uniform_18_10_runs_no_pair_layer() {
+    let [wide, ..] = PrecisionStrategy::table2_rows();
+    let cfg = HlsConfig::with_strategy(wide);
+    for model in [tiny_mlp(259, 518, 2, 100, 3), tiny_unet(12, 4, 100, 9)] {
+        let fw = lower_with_config(&model, &cfg);
+        for plan in plans() {
+            assert_eq!(pair_layers(&fw, &plan), 0, "{plan:?}");
+        }
+        let n_in = fw.input_len * fw.input_channels;
+        let frames: Vec<Vec<f64>> = (0..9).map(|f| frame(n_in, f, 2.0)).collect();
+        assert_frames_conform(&fw, &frames, "uniform <18,10>");
+    }
+    let paper = lower_to_firmware(&tiny_mlp(259, 518, 2, 100, 3));
+    assert_eq!(pair_layers(&paper, &PlanConfig::default()), 2);
+}
+
 proptest! {
     /// Fuzzed corners of the same matrix: random widths, density, batch,
     /// amplitude, and seed, on the plan that forces the sparse path and
@@ -428,6 +603,47 @@ proptest! {
                 prop_assert_eq!(g_bits, w_bits, "frame {} diverges (fuse {})", f, fuse);
             }
             prop_assert_eq!(&got_stats, &want_stats, "stats diverge (fuse {})", fuse);
+        }
+    }
+
+    /// Random shapes and random in-range raws: weights uniform in
+    /// [−32767, 32767], inputs uniform over every 16-bit raw, so the
+    /// pair family meets arbitrary pair sums, odd widths and row tails.
+    #[test]
+    fn fuzzed_pair_raws_conform(
+        in_w in 1usize..=70,
+        hidden in 1usize..=41,
+        out_w in 1usize..=9,
+        batch in 1usize..=9,
+        salt in 0u64..10_000,
+    ) {
+        let mut fw = lower_to_firmware(&tiny_mlp(in_w, hidden, out_w, 100, salt));
+        let hash = |i: usize, k: u64| {
+            let mut h = (i as u64 ^ (salt << 20) ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 31;
+            h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 20
+        };
+        set_weight_raws(&mut fw, 0, |i| (hash(i, 1) % 65_535) as i64 - 32_767);
+        let fmt = fw.input_quant.format();
+        let frames: Vec<Vec<f64>> = (0..batch)
+            .map(|f| {
+                (0..in_w)
+                    .map(|c| on_grid(fmt, (hash(f * 1000 + c, 2) % 65_536) as i64 - 32_768))
+                    .collect()
+            })
+            .collect();
+        let (want, want_stats) = reference(&fw, &frames);
+        for simd in [SimdPref::Scalar, SimdPref::Avx2, SimdPref::Auto] {
+            let cfg = PlanConfig { simd, sparsity: SparsityPolicy::ForceDense, ..PlanConfig::default() };
+            let engine = CompiledFirmware::lower_with(&fw, &cfg);
+            prop_assert!(engine.kernel_mix().pairs >= 1);
+            let (got, got_stats) = engine.infer_batch(&frames);
+            for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+                let g_bits: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+                let w_bits: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(g_bits, w_bits, "frame {} diverges ({:?})", f, simd);
+            }
+            prop_assert_eq!(&got_stats, &want_stats, "stats diverge ({:?})", simd);
         }
     }
 }
