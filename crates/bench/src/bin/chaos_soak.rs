@@ -22,21 +22,21 @@
 //! cargo run --release -p reads-bench --bin chaos_soak
 //! ```
 
-use reads_bench::mlp_bundle;
+use reads_bench::{env_or, mlp_bundle, paper_firmware};
 use reads_blm::acnet::DeblendVerdict;
 use reads_blm::dataset::Standardizer;
 use reads_blm::hubs::{assemble_frame, ChainFrame, MultiChainSource};
 use reads_core::engine::{DropPolicy, EngineConfig, ShardedEngine, SocExecutor};
 use reads_core::resilience::{SupervisorPolicy, WatchdogPolicy};
-use reads_hls4ml::{convert, profile_model, Firmware, HlsConfig};
+use reads_hls4ml::Firmware;
 use reads_net::chaos::{ChaosConfig, ChaosProxy};
 use reads_net::fleet::{FleetConfig, FleetProducer, FleetSubscriber, GatewayFleet};
 use reads_net::resilient::{ResilienceConfig, ResilientClient};
 use reads_net::{GatewayConfig, HubGateway, Msg, Role, SlowConsumerPolicy};
 use reads_soc::faults::FaultPlan;
 use reads_soc::HpsModel;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 31;
@@ -56,6 +56,20 @@ const MAX_FLEET_MTTR_MS: f64 = 2_000.0;
 /// Supervisor detection-latency ceiling for a logged kill.
 const MAX_DETECTION_MS: f64 = 1_500.0;
 
+/// The trajectory `BENCH_chaos_soak.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    seed: u64,
+    ticks: usize,
+    chains: usize,
+    min_availability: f64,
+    max_mttr_ms: f64,
+    deadline_ms: f64,
+    rows: Vec<Row>,
+    fleet_kill: Option<FleetKillRow>,
+}
+
+#[derive(Serialize, Deserialize)]
 struct Row {
     intensity: f64,
     frames: usize,
@@ -264,6 +278,7 @@ fn run_intensity(
     }
 }
 
+#[derive(Serialize, Deserialize)]
 struct FleetKillRow {
     gateways: usize,
     killed: u32,
@@ -279,6 +294,7 @@ struct FleetKillRow {
     duplicates: u64,
     detection_ms: f64,
     mttr_ms: f64,
+    max_mttr_ms: f64,
     wall_ms: f64,
 }
 
@@ -450,25 +466,18 @@ fn run_fleet_kill(
         duplicates,
         detection_ms: report.detection_ms.first().copied().unwrap_or(f64::NAN),
         mttr_ms,
+        max_mttr_ms: MAX_FLEET_MTTR_MS,
         wall_ms: wall.as_secs_f64() * 1e3,
     }
 }
 
 fn main() {
     let kill_gateways = std::env::args().any(|a| a == "--kill-gateways");
-    let ticks: usize = std::env::var("CHAOS_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60);
-    let chains: usize = std::env::var("CHAOS_CHAINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let ticks: usize = env_or("CHAOS_TICKS", 60);
+    let chains: usize = env_or("CHAOS_CHAINS", 4);
 
     let bundle = mlp_bundle();
-    let calib = bundle.calibration_inputs(50);
-    let profile = profile_model(&bundle.model, &calib);
-    let firmware = convert(&bundle.model, &profile, &HlsConfig::paper_default());
+    let firmware = paper_firmware(&bundle, 50);
     let standardizer = bundle.standardizer.clone();
 
     println!(
@@ -606,70 +615,24 @@ fn main() {
         None
     };
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"intensity\":{},\"frames\":{},\"delivered\":{},\"availability\":{:.6},\
-                 \"acked\":{},\"acked_loss\":{},\"reconnects\":{},\"resumes\":{},\
-                 \"fresh_sessions\":{},\"mttr_ms\":{:.3},\"restarts\":{},\"cuts\":{},\
-                 \"corruptions\":{},\"stalls\":{},\"deadline_miss\":{:.6},\"wall_ms\":{:.2}}}",
-                r.intensity,
-                r.frames,
-                r.delivered,
-                r.availability,
-                r.acked,
-                r.acked_loss,
-                r.reconnects,
-                r.resumes,
-                r.fresh_sessions,
-                r.mttr_ms,
-                r.restarts,
-                r.cuts,
-                r.corruptions,
-                r.stalls,
-                r.deadline_miss,
-                r.wall_ms,
-            )
-        })
-        .collect();
-    let fleet_json = fleet_row.as_ref().map_or_else(
-        || "null".to_string(),
-        |r| {
-            format!(
-                "{{\"gateways\":{},\"killed\":{},\"frames\":{},\"delivered\":{},\
-                 \"availability\":{:.6},\"acked_loss\":{},\"bit_identical\":{},\
-                 \"handoffs\":{},\"failovers\":{},\"resumes\":{},\"fresh_sessions\":{},\
-                 \"duplicates\":{},\"detection_ms\":{:.3},\"mttr_ms\":{:.3},\
-                 \"max_mttr_ms\":{MAX_FLEET_MTTR_MS},\"wall_ms\":{:.2}}}",
-                r.gateways,
-                r.killed,
-                r.frames,
-                r.delivered,
-                r.availability,
-                r.acked_loss,
-                r.bit_identical,
-                r.handoffs,
-                r.failovers,
-                r.resumes,
-                r.fresh_sessions,
-                r.duplicates,
-                r.detection_ms,
-                r.mttr_ms,
-                r.wall_ms,
-            )
-        },
-    );
-    let json = format!(
-        "{{\"seed\":{SEED},\"ticks\":{ticks},\"chains\":{chains},\
-         \"min_availability\":{MIN_AVAILABILITY},\"max_mttr_ms\":{MAX_MTTR_MS},\
-         \"deadline_ms\":{DEADLINE_MS},\"rows\":[{}],\"fleet_kill\":{fleet_json}}}\n",
-        json_rows.join(",")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_chaos_soak.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let report = Report {
+        seed: SEED,
+        ticks,
+        chains,
+        min_availability: MIN_AVAILABILITY,
+        max_mttr_ms: MAX_MTTR_MS,
+        deadline_ms: DEADLINE_MS,
+        rows,
+        fleet_kill: fleet_row,
+    };
+    let path = reads_bench::write_trajectory("BENCH_chaos_soak.json", &report);
     println!("trajectory written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_chaos_soak.json");
+    }
 }

@@ -42,16 +42,16 @@
 //! cargo run --release -p reads-bench --bin connection_storm
 //! ```
 
-use reads_bench::mlp_bundle;
+use reads_bench::{env_or, mlp_bundle, paper_firmware};
 use reads_blm::hubs::MultiChainSource;
 use reads_core::engine::{EngineConfig, ShardedEngine};
-use reads_hls4ml::{convert, profile_model, HlsConfig};
 use reads_net::wire::{encode_msg, FrameDecoder, Msg, Role};
 use reads_net::{
     fd_of, is_would_block, GatewayClient, GatewayConfig, HubGateway, Interest, Poller, Ready,
     SlowConsumerPolicy,
 };
 use reads_soc::HpsModel;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -67,20 +67,6 @@ const FD_RESERVE: u64 = 512;
 /// Sockets opened per bench-loop iteration before yielding to the
 /// welcome poller (keeps the listener backlog shallow).
 const OPEN_BURST: usize = 128;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Raises `RLIMIT_NOFILE` to its hard maximum and returns the resulting
 /// soft limit. Declared directly against libc (the same pattern as the
@@ -149,6 +135,28 @@ struct StormConn {
     role: Role,
 }
 
+/// The trajectory `BENCH_connection_storm.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    reactors: usize,
+    ticks: usize,
+    chains: usize,
+    probes: usize,
+    nofile_limit: u64,
+    live_socket_window: usize,
+    floors: Floors,
+    levels: Vec<Row>,
+}
+
+/// The bounds every level is held to.
+#[derive(Serialize, Deserialize)]
+struct Floors {
+    max_kb_per_conn: f64,
+    max_p99_ms: f64,
+    acked_loss: usize,
+}
+
+#[derive(Serialize, Deserialize)]
 struct Row {
     sessions: usize,
     live_peak: usize,
@@ -157,7 +165,7 @@ struct Row {
     accept_p99_ms: f64,
     accept_max_ms: f64,
     storm_wall_ms: f64,
-    rss_per_session: u64,
+    rss_bytes_per_session: u64,
     frames: usize,
     acked: usize,
     fanout_p50_ms: f64,
@@ -277,9 +285,7 @@ fn storm_phase(addr: SocketAddr, s: usize, w: usize) -> (Vec<TcpStream>, Vec<f64
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn run_level(s: usize, w: usize, ticks: usize, reactors: usize) -> Row {
     let bundle = mlp_bundle();
-    let calib = bundle.calibration_inputs(50);
-    let profile = profile_model(&bundle.model, &calib);
-    let firmware = convert(&bundle.model, &profile, &HlsConfig::paper_default());
+    let firmware = paper_firmware(&bundle, 50);
     let frames_total = ticks * CHAINS;
 
     let engine = ShardedEngine::native(
@@ -395,7 +401,7 @@ fn run_level(s: usize, w: usize, ticks: usize, reactors: usize) -> Row {
         accept_p99_ms: percentile(&latencies, 0.99),
         accept_max_ms: latencies.last().copied().unwrap_or(f64::NAN),
         storm_wall_ms,
-        rss_per_session: rss_after.saturating_sub(rss_before) / s as u64,
+        rss_bytes_per_session: rss_after.saturating_sub(rss_before) / s as u64,
         frames: frames_total,
         acked: acked.len(),
         fanout_p50_ms: percentile(&fanout_ms, 0.50),
@@ -412,11 +418,11 @@ fn main() {
         .split(',')
         .filter_map(|v| v.trim().parse().ok())
         .collect();
-    let ticks = env_usize("STORM_TICKS", DEFAULT_TICKS);
+    let ticks = env_or("STORM_TICKS", DEFAULT_TICKS);
     let default_reactors = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-    let reactors = env_usize("STORM_REACTORS", default_reactors);
-    let max_kb_per_conn = env_f64("STORM_MAX_KB_PER_CONN", 64.0);
-    let max_p99_ms = env_f64("STORM_MAX_P99_MS", 10_000.0);
+    let reactors = env_or("STORM_REACTORS", default_reactors);
+    let max_kb_per_conn = env_or("STORM_MAX_KB_PER_CONN", 64.0);
+    let max_p99_ms = env_or("STORM_MAX_P99_MS", 10_000.0);
 
     let nofile = raise_and_get_nofile();
     // Two fds per live connection, both ends in this process.
@@ -465,7 +471,7 @@ fn main() {
             r.accept_p99_ms,
             r.accept_max_ms,
             r.storm_wall_ms,
-            r.rss_per_session,
+            r.rss_bytes_per_session,
             r.frames,
             r.fanout_p99_ms,
             r.fps,
@@ -484,12 +490,12 @@ fn main() {
             "{} sessions: every sent frame must be acked",
             r.sessions
         );
-        if r.rss_per_session > 0 {
+        if r.rss_bytes_per_session > 0 {
             assert!(
-                (r.rss_per_session as f64) <= max_kb_per_conn * 1024.0,
+                (r.rss_bytes_per_session as f64) <= max_kb_per_conn * 1024.0,
                 "{} sessions: {} resident bytes/session exceeds the {max_kb_per_conn} KB floor",
                 r.sessions,
-                r.rss_per_session
+                r.rss_bytes_per_session
             );
         }
         assert!(
@@ -500,43 +506,28 @@ fn main() {
         );
     }
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"sessions\":{},\"live_peak\":{},\"parked\":{},\
-                 \"accept_p50_ms\":{:.4},\"accept_p99_ms\":{:.4},\"accept_max_ms\":{:.4},\
-                 \"storm_wall_ms\":{:.1},\"rss_bytes_per_session\":{},\
-                 \"frames\":{},\"acked\":{},\"fanout_p50_ms\":{:.4},\"fanout_p99_ms\":{:.4},\
-                 \"fps\":{:.1},\"acked_loss\":{}}}",
-                r.sessions,
-                r.live_peak,
-                r.parked,
-                r.accept_p50_ms,
-                r.accept_p99_ms,
-                r.accept_max_ms,
-                r.storm_wall_ms,
-                r.rss_per_session,
-                r.frames,
-                r.acked,
-                r.fanout_p50_ms,
-                r.fanout_p99_ms,
-                r.fps,
-                r.acked_loss
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"reactors\":{reactors},\"ticks\":{ticks},\"chains\":{CHAINS},\"probes\":{PROBES},\
-         \"nofile_limit\":{nofile},\"live_socket_window\":{window},\
-         \"floors\":{{\"max_kb_per_conn\":{max_kb_per_conn},\"max_p99_ms\":{max_p99_ms},\
-         \"acked_loss\":0}},\"levels\":[{}]}}\n",
-        json_rows.join(",")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_connection_storm.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let report = Report {
+        reactors,
+        ticks,
+        chains: CHAINS,
+        probes: PROBES,
+        nofile_limit: nofile,
+        live_socket_window: window,
+        floors: Floors {
+            max_kb_per_conn,
+            max_p99_ms,
+            acked_loss: 0,
+        },
+        levels: rows,
+    };
+    let path = reads_bench::write_trajectory("BENCH_connection_storm.json", &report);
     println!("storm results written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_connection_storm.json");
+    }
 }

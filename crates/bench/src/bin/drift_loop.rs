@@ -31,16 +31,15 @@
 //! cargo run --release -p reads-bench --bin drift_loop
 //! ```
 
-use reads_bench::mlp_bundle;
+use reads_bench::{env_or, mlp_bundle, paper_firmware};
 use reads_blm::hubs::MultiChainSource;
 use reads_blm::{DriftCampaign, FrameGenerator};
 use reads_core::adapt::{AdaptConfig, AdaptState, AdaptSupervisor};
 use reads_core::engine::{DropPolicy, EngineConfig, ShardedEngine};
 use reads_core::{ModelRegistry, PlacementPlanner, ShadowGate, ShardBudget};
-use reads_hls4ml::{convert, profile_model, HlsConfig};
 use reads_nn::metrics::accuracy_within;
 use reads_soc::HpsModel;
-use std::io::Write as _;
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 47;
@@ -69,15 +68,33 @@ fn campaign(onset: u64) -> DriftCampaign {
     }
 }
 
+/// The trajectory `BENCH_drift_loop.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    seed: u64,
+    ticks: u32,
+    chains: usize,
+    onset: u64,
+    deadline_ms: f64,
+    miss_epsilon: f64,
+    acc_tol: f64,
+    bucket_ticks: u32,
+    retrain_budget_ms: u64,
+    steady: Pass,
+    open: Pass,
+    closed: Pass,
+    sabotage: Pass,
+}
+
+#[derive(Serialize, Deserialize)]
 struct Pass {
     frames: u64,
     served: u64,
     lost: u64,
     deadline_miss: f64,
     wall_ms: f64,
-    ticks_run: u32,
-    /// Mean attribution accuracy per `BUCKET`-tick window.
-    curve: Vec<f64>,
+    /// Ticks fed, including any run past the plan waiting for a verdict.
+    ticks: u32,
     /// Mean accuracy over the evaluation tail — the ticks after the
     /// loop's verdict landed (or after `tail_from` for replay passes), so
     /// every pass is scored on the same deterministic frames and the
@@ -88,7 +105,10 @@ struct Pass {
     verdict_tick: Option<u32>,
     promoted: u64,
     rolled_back: u64,
-    state: Option<AdaptState>,
+    /// The loop's [`AdaptState`] at its verdict, as displayed.
+    state: Option<String>,
+    /// Mean attribution accuracy per `BUCKET`-tick window.
+    curve: Vec<f64>,
 }
 
 struct PassPlan {
@@ -124,9 +144,7 @@ fn target_519(frac_mi: &[f64], frac_rr: &[f64]) -> Vec<f64> {
 
 fn run_pass(plan: &PassPlan, retrain_budget_ms: u64) -> Pass {
     let bundle = mlp_bundle();
-    let calib = bundle.calibration_inputs(50);
-    let profile = profile_model(&bundle.model, &calib);
-    let incumbent = convert(&bundle.model, &profile, &HlsConfig::paper_default());
+    let incumbent = paper_firmware(&bundle, 50);
 
     let mut registry = ModelRegistry::new();
     registry
@@ -322,25 +340,19 @@ fn run_pass(plan: &PassPlan, retrain_budget_ms: u64) -> Pass {
         lost: fleet.shards.iter().map(|s| s.lost).sum(),
         deadline_miss,
         wall_ms: wall.as_secs_f64() * 1e3,
-        ticks_run,
-        curve,
+        ticks: ticks_run,
         tail_acc,
         verdict_tick,
         promoted,
         rolled_back,
-        state,
+        state: state.map(|s| s.to_string()),
+        curve,
     }
 }
 
 fn main() {
-    let ticks: u32 = std::env::var("DRIFT_LOOP_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(240);
-    let retrain_budget_ms: u64 = std::env::var("DRIFT_LOOP_BUDGET_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_500);
+    let ticks: u32 = env_or("DRIFT_LOOP_TICKS", 240);
+    let retrain_budget_ms: u64 = env_or("DRIFT_LOOP_BUDGET_MS", 1_500);
     let onset = u64::from(ticks) / 3;
     let c = campaign(onset);
 
@@ -367,7 +379,7 @@ fn main() {
     let tail_from = closed.verdict_tick.map(|t| t + 2);
     let open = run_pass(
         &PassPlan {
-            ticks: closed.ticks_run,
+            ticks: closed.ticks,
             campaign: Some(c),
             adapt: None,
             run_until_verdict: 0,
@@ -377,7 +389,7 @@ fn main() {
     );
     let steady = run_pass(
         &PassPlan {
-            ticks: closed.ticks_run,
+            ticks: closed.ticks,
             campaign: None,
             adapt: None,
             run_until_verdict: 0,
@@ -472,7 +484,7 @@ fn main() {
     );
     assert_eq!(
         sabotage.state,
-        Some(AdaptState::Degraded),
+        Some(AdaptState::Degraded.to_string()),
         "repeated rollbacks must trip the loop to Degraded"
     );
     println!(
@@ -485,48 +497,33 @@ fn main() {
         sabotage.rolled_back
     );
 
-    let pass_json = |p: &Pass| {
-        format!(
-            "{{\"frames\":{},\"served\":{},\"lost\":{},\"deadline_miss\":{:.6},\
-             \"wall_ms\":{:.2},\"ticks\":{},\"tail_acc\":{:.6},\"verdict_tick\":{},\
-             \"promoted\":{},\"rolled_back\":{},\"state\":{},\"curve\":{}}}",
-            p.frames,
-            p.served,
-            p.lost,
-            p.deadline_miss,
-            p.wall_ms,
-            p.ticks_run,
-            p.tail_acc,
-            p.verdict_tick.map_or("null".to_string(), |t| t.to_string()),
-            p.promoted,
-            p.rolled_back,
-            p.state.map_or("null".to_string(), |s| format!("\"{s}\"")),
-            curve_json(&p.curve),
-        )
+    let report = Report {
+        seed: SEED,
+        ticks,
+        chains: CHAINS,
+        onset,
+        deadline_ms: DEADLINE_MS,
+        miss_epsilon: MISS_EPSILON,
+        acc_tol: ACC_TOL,
+        bucket_ticks: BUCKET,
+        retrain_budget_ms,
+        steady,
+        open,
+        closed,
+        sabotage,
     };
-    let json = format!(
-        "{{\"seed\":{SEED},\"ticks\":{ticks},\"chains\":{CHAINS},\"onset\":{onset},\
-         \"deadline_ms\":{DEADLINE_MS},\"miss_epsilon\":{MISS_EPSILON},\"acc_tol\":{ACC_TOL},\
-         \"bucket_ticks\":{BUCKET},\"retrain_budget_ms\":{retrain_budget_ms},\
-         \"steady\":{},\"open\":{},\"closed\":{},\"sabotage\":{}}}\n",
-        pass_json(&steady),
-        pass_json(&open),
-        pass_json(&closed),
-        pass_json(&sabotage),
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_drift_loop.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let path = reads_bench::write_trajectory("BENCH_drift_loop.json", &report);
     println!("trajectory written to {}", path.display());
-}
-
-fn curve_json(curve: &[f64]) -> String {
-    let pts: Vec<String> = curve.iter().map(|a| format!("{a:.4}")).collect();
-    format!("[{}]", pts.join(","))
 }
 
 fn round3(curve: &[f64]) -> Vec<f64> {
     curve.iter().map(|a| (a * 1e3).round() / 1e3).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_drift_loop.json");
+    }
 }

@@ -9,26 +9,46 @@
 //! visible directly in the speedup column.
 //!
 //! A machine-readable summary is written to
-//! `target/fleet_throughput_summary.json` for CI artifact upload.
+//! `target/fleet_throughput_summary.json` under the workspace root, the
+//! path CI uploads as an artifact.
 //!
 //! ```sh
 //! cargo run --release -p reads-bench --bin fleet_throughput
 //! ```
 
-use reads_bench::{mlp_bundle, REPRO_SEED};
+use reads_bench::{mlp_bundle, paper_firmware, REPRO_SEED};
 use reads_blm::hubs::MultiChainSource;
 use reads_core::engine::{EngineConfig, NativeExecutor, ShardedEngine};
-use reads_hls4ml::{convert, profile_model, HlsConfig};
 use reads_soc::HpsModel;
-use std::io::Write as _;
+use serde::Serialize;
+
+/// The summary `target/fleet_throughput_summary.json` holds.
+#[derive(Serialize)]
+struct Summary {
+    seed: u64,
+    ticks: usize,
+    scaling_4w: f64,
+    rows: Vec<Row>,
+}
+
+#[derive(Serialize)]
+struct Row {
+    workers: usize,
+    batch: usize,
+    chains: usize,
+    frames: u64,
+    fleet_fps: f64,
+    single_lane_fps: f64,
+    speedup: f64,
+    p99_ms: f64,
+    max_ms: f64,
+}
 
 fn main() {
     // The MLP build keeps the sweep quick; the engine treats the firmware
     // as an opaque cloned interpreter, so the scaling shape is model-free.
     let bundle = mlp_bundle();
-    let calib = bundle.calibration_inputs(50);
-    let profile = profile_model(&bundle.model, &calib);
-    let firmware = convert(&bundle.model, &profile, &HlsConfig::paper_default());
+    let firmware = paper_firmware(&bundle, 50);
     let std = bundle.standardizer.clone();
     let hps = HpsModel::default();
 
@@ -90,12 +110,17 @@ fn main() {
                     t.p99_ms,
                     t.max_ms
                 );
-                rows.push(format!(
-                    "{{\"workers\":{w},\"batch\":{batch},\"chains\":{chains},\
-                     \"frames\":{},\"fleet_fps\":{:.3},\"single_lane_fps\":{:.3},\
-                     \"speedup\":{:.4},\"p99_ms\":{:.4},\"max_ms\":{:.4}}}",
-                    t.frames, t.fleet_fps, t.single_lane_fps, t.speedup, t.p99_ms, t.max_ms
-                ));
+                rows.push(Row {
+                    workers: w,
+                    batch,
+                    chains,
+                    frames: t.frames,
+                    fleet_fps: t.fleet_fps,
+                    single_lane_fps: t.single_lane_fps,
+                    speedup: t.speedup,
+                    p99_ms: t.p99_ms,
+                    max_ms: t.max_ms,
+                });
             }
         }
     }
@@ -107,13 +132,12 @@ fn main() {
         "fleet scaling regression: {scaling:.2}x < 3x"
     );
 
-    let json = format!(
-        "{{\"seed\":{REPRO_SEED},\"ticks\":{ticks},\"scaling_4w\":{scaling:.4},\"rows\":[{}]}}\n",
-        rows.join(",")
-    );
-    let path = std::path::Path::new("target").join("fleet_throughput_summary.json");
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(json.as_bytes());
-        println!("summary written to {}", path.display());
-    }
+    let summary = Summary {
+        seed: REPRO_SEED,
+        ticks,
+        scaling_4w: scaling,
+        rows,
+    };
+    let path = reads_bench::write_trajectory("target/fleet_throughput_summary.json", &summary);
+    println!("summary written to {}", path.display());
 }

@@ -31,7 +31,9 @@
 //!   amortise weight loads, never regress);
 //! * density monotonicity at batch 1 — compiled U-Net ns/frame at every
 //!   density below 1 is at most 1.1× the dense figure (pruning never
-//!   slows the one-frame-per-tick path);
+//!   slows the one-frame-per-tick path), timed in interleaved passes of
+//!   the dense and pruned plans within one window so a disturbed window
+//!   hits every plan alike;
 //! * the headline U-Net speedup (best same-firmware ratio across the
 //!   density sweep) is at least `MIN_SPEEDUP` (default 3; CI kernel-matrix
 //!   floor is 6);
@@ -50,11 +52,11 @@
 
 use reads_hls4ml::{
     convert, profile_model, sparsify_firmware, CompiledFirmware, Firmware, HlsConfig, PlanConfig,
-    SparsityPolicy,
+    Scratch, SparsityPolicy,
 };
 use reads_nn::models;
+use serde::{Deserialize, Serialize};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -115,6 +117,22 @@ fn build(model: &reads_nn::Model, seed: u64) -> Firmware {
     convert(model, &profile, &HlsConfig::paper_default())
 }
 
+/// The trajectory `BENCH_inference_hotpath.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    seed: u64,
+    min_speedup: f64,
+    unet_speedup: f64,
+    unet_dense_speedup: f64,
+    mlp_speedup: f64,
+    mlp_dense_speedup: f64,
+    mlp_best_fps: f64,
+    density_threshold: f64,
+    rows: Vec<Cell>,
+    crossover: Vec<Crossover>,
+}
+
+#[derive(Serialize, Deserialize)]
 struct Cell {
     model: &'static str,
     engine: &'static str,
@@ -126,21 +144,28 @@ struct Cell {
     allocs_per_frame: f64,
 }
 
-/// Runs full passes of the shared frame set through `step` until ~0.5 s
-/// has elapsed (min 4 passes), returning (frames, ns/frame of the
-/// *fastest* pass, allocs/frame over all passes).
-fn measure(n_frames: usize, mut step: impl FnMut()) -> (u64, f64, f64) {
+/// A full pass of the shared frame set through one engine.
+type Step<'a> = Box<dyn FnMut() + 'a>;
+
+/// Runs a full pass of each of `steps` in turn until ~0.5 s has elapsed
+/// (min 4 rounds), returning (frames per step, ns/frame of each step's
+/// *fastest* pass, allocs/frame over all passes). Steps measured together
+/// share one window, so a disturbance of the host slows every step of a
+/// round alike.
+fn measure(n_frames: usize, steps: &mut [Step]) -> (u64, Vec<f64>, f64) {
     // Warm-up: one pass so lazy buffers (and the page cache) settle.
-    step();
+    steps.iter_mut().for_each(|step| step());
+    let mut best = vec![f64::INFINITY; steps.len()];
     let alloc_start = ALLOCS.load(Ordering::Relaxed);
     let t0 = Instant::now();
     let mut frames = 0u64;
     let mut reps = 0u32;
-    let mut best = f64::INFINITY;
     while reps < 4 || t0.elapsed().as_secs_f64() < 0.5 {
-        let tp = Instant::now();
-        step();
-        best = best.min(tp.elapsed().as_secs_f64());
+        for (step, best) in steps.iter_mut().zip(&mut best) {
+            let tp = Instant::now();
+            step();
+            *best = best.min(tp.elapsed().as_secs_f64());
+        }
         frames += n_frames as u64;
         reps += 1;
         if frames > 2_000_000 {
@@ -150,26 +175,49 @@ fn measure(n_frames: usize, mut step: impl FnMut()) -> (u64, f64, f64) {
     let allocs = ALLOCS.load(Ordering::Relaxed) - alloc_start;
     (
         frames,
-        best * 1e9 / n_frames as f64,
-        allocs as f64 / frames as f64,
+        best.iter().map(|b| b * 1e9 / n_frames as f64).collect(),
+        allocs as f64 / (frames * steps.len() as u64) as f64,
     )
 }
 
-fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut Vec<Cell>) {
+/// The shared working set of `fw`'s input shape.
+fn frame_set(fw: &Firmware) -> Vec<Vec<f64>> {
     let n_in = fw.input_len * fw.input_channels;
-    let inputs: Vec<Vec<f64>> = (0..SET)
+    (0..SET)
         .map(|i| synth_frame(n_in, SEED + i as u64))
-        .collect();
+        .collect()
+}
+
+/// `fw` pruned to `density` (the same pruning at every call).
+fn pruned(fw: &Firmware, density: f64) -> Firmware {
+    if density < 1.0 {
+        sparsify_firmware(fw, density, SEED ^ density.to_bits())
+    } else {
+        fw.clone()
+    }
+}
+
+/// One pass of the frame set through `compiled`, `batch` frames a call.
+fn run_set(
+    compiled: &CompiledFirmware,
+    refs: &[&[f64]],
+    batch: usize,
+    scratch: &mut Scratch,
+    out: &mut [f64],
+) {
+    for group in refs.chunks_exact(batch) {
+        let stats = compiled.infer_batch_into(group, scratch, out);
+        std::hint::black_box(stats);
+        std::hint::black_box(&*out);
+    }
+}
+
+fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut Vec<Cell>) {
+    let inputs = frame_set(fw);
     let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
 
     for &density in &DENSITIES {
-        let pruned;
-        let dfw = if density < 1.0 {
-            pruned = sparsify_firmware(fw, density, SEED ^ density.to_bits());
-            &pruned
-        } else {
-            fw
-        };
+        let dfw = &pruned(fw, density);
         let compiled = CompiledFirmware::lower(dfw);
         // Sanity: the engines agree on the bench frames before we time.
         let (want, want_stats) = dfw.infer(&inputs[0]);
@@ -181,20 +229,23 @@ fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut 
         // every zero-weight MAC, so this is the honest same-function
         // comparison. Its per-frame path is batch-independent; one row.
         let mut state = dfw.interp_state();
-        let (frames, ns, allocs) = measure(SET, || {
-            for x in &inputs {
-                let (y, stats) = dfw.infer_reusing(x, &mut state);
-                std::hint::black_box((y, stats));
-            }
-        });
+        let (frames, ns, allocs) = measure(
+            SET,
+            &mut [Box::new(|| {
+                for x in &inputs {
+                    let (y, stats) = dfw.infer_reusing(x, &mut state);
+                    std::hint::black_box((y, stats));
+                }
+            })],
+        );
         rows.push(Cell {
             model: name,
             engine: "interpreter",
             density,
             batch: 1,
             frames,
-            ns_per_frame: ns,
-            fps: 1e9 / ns,
+            ns_per_frame: ns[0],
+            fps: 1e9 / ns[0],
             allocs_per_frame: allocs,
         });
 
@@ -202,21 +253,20 @@ fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut 
         for &batch in batches {
             let mut scratch = compiled.scratch();
             let mut out = vec![0.0; batch * ol];
-            let (frames, ns, allocs) = measure(SET, || {
-                for group in refs.chunks_exact(batch) {
-                    let stats = compiled.infer_batch_into(group, &mut scratch, &mut out);
-                    std::hint::black_box(stats);
-                    std::hint::black_box(&out);
-                }
-            });
+            let (frames, ns, allocs) = measure(
+                SET,
+                &mut [Box::new(|| {
+                    run_set(&compiled, &refs, batch, &mut scratch, &mut out);
+                })],
+            );
             rows.push(Cell {
                 model: name,
                 engine: "compiled",
                 density,
                 batch,
                 frames,
-                ns_per_frame: ns,
-                fps: 1e9 / ns,
+                ns_per_frame: ns[0],
+                fps: 1e9 / ns[0],
                 allocs_per_frame: allocs,
             });
         }
@@ -225,22 +275,20 @@ fn sweep_model(name: &'static str, fw: &Firmware, batches: &[usize], rows: &mut 
 
 /// One crossover cell: the same pruned firmware under a forced dense and
 /// a forced sparse plan, at one batch size.
+#[derive(Serialize, Deserialize)]
 struct Crossover {
     model: &'static str,
     density: f64,
     batch: usize,
-    dense_ns: f64,
-    sparse_ns: f64,
+    dense_ns_per_frame: f64,
+    sparse_ns_per_frame: f64,
 }
 
 fn crossover_model(name: &'static str, fw: &Firmware, rows: &mut Vec<Crossover>) {
-    let n_in = fw.input_len * fw.input_channels;
-    let inputs: Vec<Vec<f64>> = (0..SET)
-        .map(|i| synth_frame(n_in, SEED + i as u64))
-        .collect();
+    let inputs = frame_set(fw);
     let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
     for &density in &CROSSOVER {
-        let pruned = sparsify_firmware(fw, density, SEED ^ density.to_bits());
+        let pruned = pruned(fw, density);
         let ns = |sparsity: SparsityPolicy, batch: usize| {
             let cfg = PlanConfig {
                 sparsity,
@@ -249,25 +297,42 @@ fn crossover_model(name: &'static str, fw: &Firmware, rows: &mut Vec<Crossover>)
             let compiled = CompiledFirmware::lower_with(&pruned, &cfg);
             let mut scratch = compiled.scratch();
             let mut out = vec![0.0; batch * compiled.output_len()];
-            measure(SET, || {
-                for group in refs.chunks_exact(batch) {
-                    let stats = compiled.infer_batch_into(group, &mut scratch, &mut out);
-                    std::hint::black_box(stats);
-                    std::hint::black_box(&out);
-                }
-            })
-            .1
+            let (_, ns, _) = measure(
+                SET,
+                &mut [Box::new(|| {
+                    run_set(&compiled, &refs, batch, &mut scratch, &mut out);
+                })],
+            );
+            ns[0]
         };
         for batch in [1usize, 8] {
             rows.push(Crossover {
                 model: name,
                 density,
                 batch,
-                dense_ns: ns(SparsityPolicy::ForceDense, batch),
-                sparse_ns: ns(SparsityPolicy::ForceSparse, batch),
+                dense_ns_per_frame: ns(SparsityPolicy::ForceDense, batch),
+                sparse_ns_per_frame: ns(SparsityPolicy::ForceSparse, batch),
             });
         }
     }
+}
+
+/// Batch-1 ns/frame of `fw` pruned to each of [`DENSITIES`], all plans
+/// measured in one interleaved window.
+fn interleaved_b1_ns(fw: &Firmware) -> Vec<f64> {
+    let inputs = frame_set(fw);
+    let refs: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let refs = &refs;
+    let mut steps: Vec<Step> = DENSITIES
+        .iter()
+        .map(|&density| {
+            let plan = CompiledFirmware::lower(&pruned(fw, density));
+            let mut scratch = plan.scratch();
+            let mut out = vec![0.0; plan.output_len()];
+            Box::new(move || run_set(&plan, refs, 1, &mut scratch, &mut out)) as Step
+        })
+        .collect();
+    measure(SET, &mut steps).1
 }
 
 /// Best (lowest) ns/frame for one model × engine at one density.
@@ -294,14 +359,8 @@ fn speedup_at(rows: &[Cell], model: &str, density: f64) -> f64 {
 }
 
 fn main() {
-    let min_speedup: f64 = std::env::var("MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3.0);
-    let min_mlp_fps: f64 = std::env::var("MIN_MLP_FPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
+    let min_speedup: f64 = reads_bench::env_or("MIN_SPEEDUP", 3.0);
+    let min_mlp_fps: f64 = reads_bench::env_or("MIN_MLP_FPS", 0.0);
     let batches = [1usize, 8, 32];
 
     let unet = build(&models::reads_unet(SEED), SEED);
@@ -350,9 +409,9 @@ fn main() {
             c.model,
             c.density,
             c.batch,
-            c.dense_ns,
-            c.sparse_ns,
-            c.sparse_ns / c.dense_ns
+            c.dense_ns_per_frame,
+            c.sparse_ns_per_frame,
+            c.sparse_ns_per_frame / c.dense_ns_per_frame
         );
     }
 
@@ -376,6 +435,15 @@ fn main() {
     );
     println!("MLP   speedup: {mlp_speedup:.2}x sparse-aware best, {mlp_dense_speedup:.2}x dense");
     println!("MLP   best compiled rate: {mlp_best_fps:.0} frames/s (floor {min_mlp_fps:.0})");
+    let b1_ns = interleaved_b1_ns(&unet);
+    println!(
+        "U-Net batch 1, interleaved: {} ns/frame at densities {DENSITIES:?} (each <= 1.1x dense)",
+        b1_ns
+            .iter()
+            .map(|ns| format!("{ns:.0}"))
+            .collect::<Vec<_>>()
+            .join(" / ")
+    );
 
     for c in rows.iter().filter(|c| c.engine == "compiled") {
         assert!(
@@ -403,10 +471,8 @@ fn main() {
     }
     // Density monotonicity at batch 1, the deployment point: pruning may
     // never make the real-time path slower than the dense firmware.
-    let b1_ns = |density: f64| 1e9 / fps_at(&rows, "unet", "compiled", density, 1);
-    let dense_b1 = b1_ns(1.0);
-    for &density in DENSITIES.iter().filter(|&&d| d < 1.0) {
-        let ns = b1_ns(density);
+    let dense_b1 = b1_ns[0];
+    for (&density, &ns) in DENSITIES.iter().zip(&b1_ns).skip(1) {
         assert!(
             ns <= 1.1 * dense_b1,
             "unet d={density}: batch=1 {ns:.0} ns/frame above 1.1x the dense batch=1 \
@@ -422,46 +488,26 @@ fn main() {
         "MLP compiled rate {mlp_best_fps:.0} fps below the {min_mlp_fps:.0} floor"
     );
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"model\":\"{}\",\"engine\":\"{}\",\"density\":{},\"batch\":{},\
-                 \"frames\":{},\"ns_per_frame\":{:.1},\"fps\":{:.1},\"allocs_per_frame\":{:.3}}}",
-                c.model,
-                c.engine,
-                c.density,
-                c.batch,
-                c.frames,
-                c.ns_per_frame,
-                c.fps,
-                c.allocs_per_frame
-            )
-        })
-        .collect();
-    let crossover_rows: Vec<String> = crossover
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"model\":\"{}\",\"density\":{},\"batch\":{},\"dense_ns_per_frame\":{:.1},\
-                 \"sparse_ns_per_frame\":{:.1}}}",
-                c.model, c.density, c.batch, c.dense_ns, c.sparse_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"seed\":{SEED},\"min_speedup\":{min_speedup},\"unet_speedup\":{unet_speedup:.3},\
-         \"unet_dense_speedup\":{unet_dense_speedup:.3},\"mlp_speedup\":{mlp_speedup:.3},\
-         \"mlp_dense_speedup\":{mlp_dense_speedup:.3},\"mlp_best_fps\":{mlp_best_fps:.1},\
-         \"density_threshold\":{},\"rows\":[{}],\"crossover\":[{}]}}\n",
-        PlanConfig::default().density_threshold,
-        json_rows.join(","),
-        crossover_rows.join(",")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_inference_hotpath.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let report = Report {
+        seed: SEED,
+        min_speedup,
+        unet_speedup,
+        unet_dense_speedup,
+        mlp_speedup,
+        mlp_dense_speedup,
+        mlp_best_fps,
+        density_threshold: PlanConfig::default().density_threshold,
+        rows,
+        crossover,
+    };
+    let path = reads_bench::write_trajectory("BENCH_inference_hotpath.json", &report);
     println!("trajectory written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_inference_hotpath.json");
+    }
 }

@@ -18,19 +18,42 @@
 //! cargo run --release -p reads-bench --bin netserve_throughput
 //! ```
 
-use reads_bench::mlp_bundle;
+use reads_bench::{env_or, mlp_bundle, paper_firmware};
 use reads_blm::dataset::Standardizer;
 use reads_core::engine::{EngineConfig, ShardedEngine};
-use reads_hls4ml::{convert, profile_model, HlsConfig};
 use reads_net::{
     run_load, GatewayClient, GatewayConfig, GatewayReport, HubGateway, LoadGenConfig, LoadReport,
     Role, SlowConsumerPolicy,
 };
 use reads_soc::HpsModel;
-use std::io::Write as _;
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 2024;
+
+/// The trajectory `BENCH_netserve.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    seed: u64,
+    ticks: usize,
+    chains: usize,
+    min_fps: f64,
+    closed_loop_fps: f64,
+    rows: Vec<Row>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct Row {
+    mode: &'static str,
+    frames: u64,
+    acks: u64,
+    verdicts: u64,
+    wall_ms: f64,
+    fps: f64,
+    sim_ingest_ms: f64,
+    sequence_gaps: u64,
+    slow_consumer_drops: u64,
+}
 
 struct PassResult {
     label: &'static str,
@@ -105,21 +128,13 @@ fn run_pass(
 }
 
 fn main() {
-    let min_fps: f64 = std::env::var("MIN_NETSERVE_FPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000.0);
-    let ticks: usize = std::env::var("NETSERVE_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600);
+    let min_fps: f64 = env_or("MIN_NETSERVE_FPS", 10_000.0);
+    let ticks: usize = env_or("NETSERVE_TICKS", 600);
 
     // Same quick MLP build the fleet-throughput study uses: the serving
     // plane treats the firmware as an opaque executor.
     let bundle = mlp_bundle();
-    let calib = bundle.calibration_inputs(50);
-    let profile = profile_model(&bundle.model, &calib);
-    let firmware = convert(&bundle.model, &profile, &HlsConfig::paper_default());
+    let firmware = paper_firmware(&bundle, 50);
     let standardizer = bundle.standardizer.clone();
 
     let closed_cfg = LoadGenConfig {
@@ -192,35 +207,36 @@ fn main() {
         "serving-plane throughput regression: {closed_fps:.0} fps < {min_fps:.0} fps floor"
     );
 
-    let rows: Vec<String> = passes
+    let rows = passes
         .iter()
-        .map(|p| {
-            format!(
-                "{{\"mode\":\"{}\",\"frames\":{},\"acks\":{},\"verdicts\":{},\
-                 \"wall_ms\":{:.2},\"fps\":{:.1},\"sim_ingest_ms\":{:.4},\
-                 \"sequence_gaps\":{},\"slow_consumer_drops\":{}}}",
-                p.label,
-                p.load.frames_sent,
-                p.load.acks_received,
-                p.verdicts_seen,
-                p.wall.as_secs_f64() * 1e3,
-                p.fps,
-                p.report.sim_ingest.as_millis_f64(),
-                p.report.net.sequence_gaps,
-                p.report.net.slow_consumer_drops,
-            )
+        .map(|p| Row {
+            mode: p.label,
+            frames: p.load.frames_sent,
+            acks: p.load.acks_received,
+            verdicts: p.verdicts_seen,
+            wall_ms: p.wall.as_secs_f64() * 1e3,
+            fps: p.fps,
+            sim_ingest_ms: p.report.sim_ingest.as_millis_f64(),
+            sequence_gaps: p.report.net.sequence_gaps,
+            slow_consumer_drops: p.report.net.slow_consumer_drops,
         })
         .collect();
-    let json = format!(
-        "{{\"seed\":{SEED},\"ticks\":{ticks},\"chains\":{},\"min_fps\":{min_fps},\
-         \"closed_loop_fps\":{closed_fps:.1},\"rows\":[{}]}}\n",
-        closed_cfg.chains,
-        rows.join(",")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_netserve.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let report = Report {
+        seed: SEED,
+        ticks,
+        chains: closed_cfg.chains,
+        min_fps,
+        closed_loop_fps: closed_fps,
+        rows,
+    };
+    let path = reads_bench::write_trajectory("BENCH_netserve.json", &report);
     println!("trajectory written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_netserve.json");
+    }
 }

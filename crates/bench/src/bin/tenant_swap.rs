@@ -22,14 +22,14 @@
 //! cargo run --release -p reads-bench --bin tenant_swap
 //! ```
 
-use reads_bench::mlp_bundle;
+use reads_bench::{env_or, mlp_bundle};
 use reads_blm::hubs::MultiChainSource;
 use reads_core::engine::{DropPolicy, EngineConfig, ShardedEngine};
 use reads_core::{run_hot_swap, ModelRegistry, PlacementPlanner, ShadowGate, ShardBudget};
 use reads_hls4ml::config::PrecisionStrategy;
 use reads_hls4ml::{convert, profile_model, Firmware, HlsConfig};
 use reads_soc::HpsModel;
-use std::io::Write as _;
+use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 41;
@@ -40,6 +40,23 @@ const DEADLINE_MS: f64 = 3.0;
 /// state before it counts as a serving-plane regression.
 const MISS_EPSILON: f64 = 0.02;
 
+/// The trajectory `BENCH_tenant_swap.json` holds.
+#[derive(Serialize, Deserialize)]
+struct Report {
+    seed: u64,
+    ticks: usize,
+    chains: usize,
+    deadline_ms: f64,
+    miss_epsilon: f64,
+    steady: Pass,
+    swap: Pass,
+    promotion_latency_ms: f64,
+    shadow_frames: u64,
+    shadow_accuracy: f64,
+    shadow_max_abs_delta: f64,
+}
+
+#[derive(Serialize, Deserialize)]
 struct Pass {
     frames: u64,
     served: u64,
@@ -47,18 +64,18 @@ struct Pass {
     fps: f64,
     deadline_miss: f64,
     wall_ms: f64,
-    swap: Option<reads_core::SwapReport>,
 }
 
-/// One two-tenant serving pass; `swap` stages and drives the candidate to
-/// a verdict mid-stream. The producer never stops — that is the claim.
+/// One two-tenant serving pass; a `candidate` is staged and driven to a
+/// verdict mid-stream, and its swap report returned beside the pass. The
+/// producer never stops — that is the claim.
 fn run_pass(
     ticks: usize,
     incumbent: &Firmware,
     sibling: &Firmware,
     candidate: Option<&Firmware>,
     standardizer: &reads_blm::dataset::Standardizer,
-) -> Pass {
+) -> (Pass, Option<reads_core::SwapReport>) {
     let mut registry = ModelRegistry::new();
     registry
         .add_tenant(1, "blm-primary", 2, None)
@@ -152,22 +169,19 @@ fn run_pass(
     } else {
         timings.iter().filter(|&&ms| ms > DEADLINE_MS).count() as f64 / timings.len() as f64
     };
-    Pass {
+    let pass = Pass {
         frames: accepted,
         served: results.len() as u64,
         lost: fleet.shards.iter().map(|s| s.lost).sum(),
         fps: accepted as f64 / wall.as_secs_f64(),
         deadline_miss,
         wall_ms: wall.as_secs_f64() * 1e3,
-        swap,
-    }
+    };
+    (pass, swap)
 }
 
 fn main() {
-    let ticks: usize = std::env::var("TENANT_SWAP_TICKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
+    let ticks: usize = env_or("TENANT_SWAP_TICKS", 150);
 
     let bundle = mlp_bundle();
     let calib = bundle.calibration_inputs(50);
@@ -199,8 +213,8 @@ fn main() {
     let standardizer = bundle.standardizer.clone();
 
     println!("tenant swap: 2 tenants x {CHAINS} chains x {ticks} ticks (seed {SEED})");
-    let steady = run_pass(ticks, &incumbent, &sibling, None, &standardizer);
-    let swapped = run_pass(ticks, &incumbent, &sibling, Some(&candidate), &standardizer);
+    let (steady, _) = run_pass(ticks, &incumbent, &sibling, None, &standardizer);
+    let (swapped, report) = run_pass(ticks, &incumbent, &sibling, Some(&candidate), &standardizer);
 
     for (name, p) in [("steady", &steady), ("swap", &swapped)] {
         println!(
@@ -208,7 +222,7 @@ fn main() {
             p.frames, p.served, p.lost, p.fps, p.deadline_miss, p.wall_ms
         );
     }
-    let report = swapped.swap.as_ref().expect("swap pass ran the swap");
+    let report = report.expect("swap pass ran the swap");
     let latency = report
         .promotion_latency_ms
         .expect("promotion latency recorded");
@@ -242,29 +256,27 @@ fn main() {
         swapped.deadline_miss, steady.deadline_miss
     );
 
-    let pass_json = |p: &Pass| {
-        format!(
-            "{{\"frames\":{},\"served\":{},\"lost\":{},\"fps\":{:.1},\
-             \"deadline_miss\":{:.6},\"wall_ms\":{:.2}}}",
-            p.frames, p.served, p.lost, p.fps, p.deadline_miss, p.wall_ms
-        )
+    let trajectory = Report {
+        seed: SEED,
+        ticks,
+        chains: CHAINS,
+        deadline_ms: DEADLINE_MS,
+        miss_epsilon: MISS_EPSILON,
+        steady,
+        swap: swapped,
+        promotion_latency_ms: latency,
+        shadow_frames: report.shadow.frames,
+        shadow_accuracy: report.shadow.accuracy(),
+        shadow_max_abs_delta: report.shadow.max_abs_delta,
     };
-    let json = format!(
-        "{{\"seed\":{SEED},\"ticks\":{ticks},\"chains\":{CHAINS},\
-         \"deadline_ms\":{DEADLINE_MS},\"miss_epsilon\":{MISS_EPSILON},\
-         \"steady\":{},\"swap\":{},\
-         \"promotion_latency_ms\":{latency:.3},\"shadow_frames\":{},\
-         \"shadow_accuracy\":{:.6},\"shadow_max_abs_delta\":{:.6}}}\n",
-        pass_json(&steady),
-        pass_json(&swapped),
-        report.shadow.frames,
-        report.shadow.accuracy(),
-        report.shadow.max_abs_delta,
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_tenant_swap.json");
-    let mut f = std::fs::File::create(&path).expect("write benchmark json");
-    f.write_all(json.as_bytes()).expect("write benchmark json");
+    let path = reads_bench::write_trajectory("BENCH_tenant_swap.json", &trajectory);
     println!("trajectory written to {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_trajectory_keeps_its_schema() {
+        reads_bench::assert_trajectory_schema::<super::Report>("BENCH_tenant_swap.json");
+    }
 }

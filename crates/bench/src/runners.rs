@@ -1,10 +1,12 @@
-//! Experiment runners shared by the `repro_*` binaries and `repro_all`.
+//! Experiment runners behind the `repro` subcommands.
 //!
 //! Each runner regenerates one table/figure, prints it next to the paper's
 //! published values, and returns a serializable summary (collected into
-//! `target/reads-artifacts/repro_report.json` by `repro_all`).
+//! `target/reads-artifacts/repro_report.json` by `repro all`).
 
-use crate::{header, mlp_bundle, unet_bn_bundle, unet_bundle, vs_paper, REPRO_SEED};
+use crate::{
+    env_or, header, mlp_bundle, paper_firmware, unet_bn_bundle, unet_bundle, vs_paper, REPRO_SEED,
+};
 use reads_core::baselines::{
     measure_cpu_batch_ms_per_frame, measure_cpu_latency_ms, model_macs, table1_related_work,
     GpuModel,
@@ -12,8 +14,7 @@ use reads_core::baselines::{
 use reads_core::campaign::{run_latency_campaign, LatencyCampaign};
 use reads_core::codesign::codesign;
 use reads_core::experiments::{bit_sweep, table2_journey, BitSweepPoint, Table2Row};
-use reads_core::trained::TrainedBundle;
-use reads_hls4ml::{convert, profile_model, BuildReport, Firmware, HlsConfig, ARRIA10_10AS066};
+use reads_hls4ml::{convert, profile_model, BuildReport, HlsConfig, ARRIA10_10AS066};
 use reads_nn::ModelSpec;
 use reads_soc::hps::HpsModel;
 use serde::Serialize;
@@ -22,25 +23,13 @@ use serde::Serialize;
 /// `REPRO_FRAMES` environment variable for quicker passes.
 #[must_use]
 pub fn eval_frame_count() -> usize {
-    std::env::var("REPRO_FRAMES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000)
+    env_or("REPRO_FRAMES", 1_000)
 }
 
 /// Number of Monte-Carlo frames for the latency campaigns.
 #[must_use]
 pub fn campaign_frame_count() -> usize {
-    std::env::var("REPRO_CAMPAIGN_FRAMES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000)
-}
-
-fn build_firmware(bundle: &TrainedBundle, calib_frames: usize) -> Firmware {
-    let calib = bundle.calibration_inputs(calib_frames);
-    let profile = profile_model(&bundle.model, &calib);
-    convert(&bundle.model, &profile, &HlsConfig::paper_default())
+    env_or("REPRO_CAMPAIGN_FRAMES", 10_000)
 }
 
 /// Summary of one Table I row.
@@ -85,7 +74,7 @@ pub fn run_table1() -> Vec<Table1Row> {
         });
     }
     for (bundle, paper_ms) in [(mlp_bundle(), 0.31), (unet_bundle(), 1.74)] {
-        let fw = build_firmware(&bundle, 100);
+        let fw = paper_firmware(&bundle, 100);
         let input = vec![0.1; bundle.spec.input_len()];
         let c = run_latency_campaign(&fw, &HpsModel::default(), &input, 2_000, 8, REPRO_SEED);
         println!(
@@ -134,7 +123,7 @@ pub fn run_fig3() -> Vec<Fig3Bar> {
         let io_bytes = (bundle.spec.input_len() + bundle.spec.output_len()) as u64 * 4;
         let gpu_b1 = gpu.per_frame_ms(bundle.model.layers().len(), macs, io_bytes, 1);
         let gpu_b256 = gpu.per_frame_ms(bundle.model.layers().len(), macs, io_bytes, 256);
-        let fw = build_firmware(&bundle, 100);
+        let fw = paper_firmware(&bundle, 100);
         let soc = run_latency_campaign(&fw, &HpsModel::default(), &input, 2_000, 8, REPRO_SEED);
         println!("{name}:");
         println!("  CPU (host, measured)        {cpu_ms:>9.3} ms");
@@ -360,7 +349,7 @@ pub fn run_fig5c() -> Fig5cSummary {
         (unet_bundle(), 1.74, 1.73, 2.27),
         (mlp_bundle(), 0.31, 0.26, 0.91),
     ] {
-        let fw = build_firmware(&bundle, 100);
+        let fw = paper_firmware(&bundle, 100);
         let input = vec![0.1; bundle.spec.input_len()];
         let c = run_latency_campaign(&fw, &HpsModel::default(), &input, frames, 16, REPRO_SEED);
         println!("{} over {} frames:", bundle.spec.name(), c.samples_ms.len());

@@ -208,7 +208,7 @@ impl Histogram {
         below as f64 / total as f64
     }
 
-    /// Renders an ASCII bar chart (used by the `repro_fig5c` binary).
+    /// Renders an ASCII bar chart (used by `repro fig5c`).
     #[must_use]
     pub fn render_ascii(&self, width: usize) -> String {
         use std::fmt::Write as _;

@@ -1,7 +1,7 @@
 //! Integration checks that the *shapes* of the paper's headline results
 //! hold on the fast tier: who wins, by roughly what factor, and where the
-//! crossovers fall. The full-magnitude reproduction runs in the
-//! `reads-bench` repro binaries.
+//! crossovers fall. The full-magnitude reproduction runs as the
+//! `reads-bench` `repro` subcommands.
 
 use reads::central::campaign::run_latency_campaign;
 use reads::central::experiments::{bit_sweep, table2_journey};
