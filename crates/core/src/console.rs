@@ -491,8 +491,8 @@ impl OperatorConsole {
             };
             let _ = writeln!(
                 out,
-                " kernels            {} | {} mono | {} dense | {} wide | {} sparse | {} fused | {} data | {} i16-pair",
-                simd, m.mono, m.dense, m.wide, m.sparse, m.fused, m.data, m.pairs
+                " kernels            {} | {} dense | {} wide | {} sparse | {} fused | {} data | {} i16-pair",
+                simd, m.dense, m.wide, m.sparse, m.fused, m.data, m.pairs
             );
         }
         out.push_str(&render_gateway_lines(&s.gateways));
@@ -646,15 +646,14 @@ mod tests {
         c.observe(&verdict(0.1, 0.6), &timing(1_750, false));
         assert!(!c.render().contains(" kernels "));
         c.observe_kernel_mix(KernelMix {
-            mono: 1,
-            dense: 5,
+            dense: 6,
             pairs: 5,
             fused: 4,
             data: 6,
             ..KernelMix::default()
         });
         let text = c.render();
-        assert!(text.contains("1 mono | 5 dense |"), "{text}");
+        assert!(text.contains("scalar | 6 dense |"), "{text}");
         assert!(text.contains("6 data | 5 i16-pair"), "{text}");
     }
 

@@ -7,7 +7,7 @@
 //! backward pass on a weight-quantized copy of the model, and the resulting
 //! gradients update the float master weights. At widths where PTQ starts to
 //! collapse (≤ 8 bits), QAT recovers much of the loss — quantified by
-//! [`ptq_vs_qat`] and the `qat_study` bench binary.
+//! [`ptq_vs_qat`] and `repro qat_study`.
 
 use rayon::prelude::*;
 use reads_fixed::{Fx, Overflow, QFormat, Rounding};

@@ -1,13 +1,14 @@
 //! Dense MAC kernels in all three operand classes: the i16-pair family
-//! (`vpmaddwd`), the i32 widening family (`i32×i32→i64`, monomorphised
-//! over lane count `L` and column width `C`) and the wide `i64` fallback,
-//! each with AVX2 / AVX-512 instantiations reached through runtime feature
-//! detection.
+//! (`vpmaddwd`) and the i32 widening family (`i32×i32→i64`), each with
+//! AVX2 / AVX-512 instantiations reached through runtime feature
+//! detection, and the wide `i64` fallback, which has only its portable
+//! body. Every body runs at the layer's runtime width and is instantiated
+//! once per lane count `L ∈ {1, 8}` and SIMD level.
 //!
-//! **i32 and wide: a codegen story.** Their `#[target_feature]` wrappers
-//! contain *no intrinsics* — they re-expand the same `#[inline(always)]`
-//! scalar body inside a feature-enabled function, and LLVM re-vectorizes
-//! it with 256-/512-bit widening multiplies.
+//! **i32: a codegen story.** Its `#[target_feature]` wrappers contain *no
+//! intrinsics* — they re-expand the same `#[inline(always)]` scalar body
+//! inside a feature-enabled function, and LLVM re-vectorizes it with
+//! 256-/512-bit widening multiplies.
 //!
 //! **Pairs: an intrinsics story.** The pair family's win is one
 //! instruction, `vpmaddwd`, which multiplies sixteen `i16` pairs and adds
@@ -34,22 +35,10 @@ use super::{finish_rows, CDense, RowsFn, Staged};
 use crate::compiled::SimdLevel;
 use reads_tensor::activ::SigmoidTable;
 
-/// Column widths with dedicated monomorphised instantiations. Covers the
-/// conformance suite's 1–17 sweep plus the models' pointwise heads.
-pub(crate) const MONO_WIDTHS: [usize; 19] = [
-    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 32,
-];
-
-/// Whether `cols` has a dedicated const-width instantiation.
-pub(crate) fn is_mono(cols: usize) -> bool {
-    MONO_WIDTHS.contains(&cols)
-}
-
-/// i32 dense body: `rows × cols` i32 weights against `L`
-/// lane-interleaved i32 inputs. `C = 0` means runtime width; a nonzero `C`
-/// fixes it at compile time so the column loop fully unrolls.
+/// i32 dense body: `rows × cols` i32 weights against `L` lane-interleaved
+/// i32 inputs, at the layer's runtime width.
 #[inline(always)]
-pub(crate) fn dense_body<const L: usize, const C: usize>(
+pub(crate) fn dense_body<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
@@ -57,7 +46,7 @@ pub(crate) fn dense_body<const L: usize, const C: usize>(
     ovf: &mut u64,
 ) {
     let x = x.narrow();
-    let cols = if C == 0 { d.cols } else { C };
+    let cols = d.cols;
     debug_assert_eq!(x.len(), cols * L);
     debug_assert_eq!(out.len(), d.rows * L);
     debug_assert_eq!(d.w32.len(), d.rows * cols);
@@ -119,9 +108,10 @@ pub(crate) fn dense_body<const L: usize, const C: usize>(
 }
 
 /// Wide dense body: full `i64` products for the rare layer whose weights
-/// or inputs exceed `i32`.
+/// or inputs exceed `i32`. It has no SIMD instantiations: no benchmark
+/// firmware lowers a wide layer, so every plan runs this portable body.
 #[inline(always)]
-pub(crate) fn wide_body<const L: usize>(
+fn wide_body<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
@@ -144,55 +134,39 @@ pub(crate) fn wide_body<const L: usize>(
     }
 }
 
+/// [`dense_body`] compiled with AVX2 enabled.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dense_avx2<const L: usize, const C: usize>(
+unsafe fn dense_avx2<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
     out: &mut [i64],
     ovf: &mut u64,
 ) {
-    dense_body::<L, C>(d, sig, x, out, ovf);
+    dense_body::<L>(d, sig, x, out, ovf);
 }
 
+/// [`dense_body`] compiled with AVX-512 F/BW/DQ/VL enabled.
+///
+/// # Safety
+/// The CPU must support AVX-512 F, BW, DQ and VL.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn dense_avx512<const L: usize, const C: usize>(
+unsafe fn dense_avx512<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
     out: &mut [i64],
     ovf: &mut u64,
 ) {
-    dense_body::<L, C>(d, sig, x, out, ovf);
+    dense_body::<L>(d, sig, x, out, ovf);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn wide_avx2<const L: usize>(
-    d: &CDense,
-    sig: &SigmoidTable,
-    x: Staged<'_>,
-    out: &mut [i64],
-    ovf: &mut u64,
-) {
-    wide_body::<L>(d, sig, x, out, ovf);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vl")]
-unsafe fn wide_avx512<const L: usize>(
-    d: &CDense,
-    sig: &SigmoidTable,
-    x: Staged<'_>,
-    out: &mut [i64],
-    ovf: &mut u64,
-) {
-    wide_body::<L>(d, sig, x, out, ovf);
-}
-
-fn dense_avx2_shim<const L: usize, const C: usize>(
+fn dense_avx2_shim<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
@@ -203,13 +177,13 @@ fn dense_avx2_shim<const L: usize, const C: usize>(
     {
         // SAFETY: the planner stores this instantiation only after runtime
         // detection confirmed AVX2 on this CPU.
-        unsafe { dense_avx2::<L, C>(d, sig, x, out, ovf) }
+        unsafe { dense_avx2::<L>(d, sig, x, out, ovf) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    dense_body::<L, C>(d, sig, x, out, ovf)
+    dense_body::<L>(d, sig, x, out, ovf)
 }
 
-fn dense_avx512_shim<const L: usize, const C: usize>(
+fn dense_avx512_shim<const L: usize>(
     d: &CDense,
     sig: &SigmoidTable,
     x: Staged<'_>,
@@ -220,90 +194,27 @@ fn dense_avx512_shim<const L: usize, const C: usize>(
     {
         // SAFETY: stored only after runtime detection confirmed
         // AVX-512 F/BW/DQ/VL on this CPU.
-        unsafe { dense_avx512::<L, C>(d, sig, x, out, ovf) }
+        unsafe { dense_avx512::<L>(d, sig, x, out, ovf) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    dense_body::<L, C>(d, sig, x, out, ovf)
+    dense_body::<L>(d, sig, x, out, ovf)
 }
 
-fn wide_avx2_shim<const L: usize>(
-    d: &CDense,
-    sig: &SigmoidTable,
-    x: Staged<'_>,
-    out: &mut [i64],
-    ovf: &mut u64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: stored only after runtime detection confirmed AVX2.
-        unsafe { wide_avx2::<L>(d, sig, x, out, ovf) }
+/// Build-time dispatch for the i32 family: the `(L = 1, L = 8)`
+/// instantiations at the resolved SIMD level. Called once per layer at
+/// lowering — never on the frame path.
+pub(crate) fn i32_fns(simd: SimdLevel) -> (RowsFn, RowsFn) {
+    match simd {
+        SimdLevel::Scalar => (dense_body::<1>, dense_body::<8>),
+        SimdLevel::Avx2 => (dense_avx2_shim::<1>, dense_avx2_shim::<8>),
+        SimdLevel::Avx512 => (dense_avx512_shim::<1>, dense_avx512_shim::<8>),
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    wide_body::<L>(d, sig, x, out, ovf)
 }
 
-fn wide_avx512_shim<const L: usize>(
-    d: &CDense,
-    sig: &SigmoidTable,
-    x: Staged<'_>,
-    out: &mut [i64],
-    ovf: &mut u64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: stored only after runtime detection confirmed
-        // AVX-512 F/BW/DQ/VL.
-        unsafe { wide_avx512::<L>(d, sig, x, out, ovf) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    wide_body::<L>(d, sig, x, out, ovf)
-}
-
-/// The `(L = 1, L = 8)` i32 instantiations for one const width at one
+/// The wide (`i64`) family's `(L = 1, L = 8)` bodies, the same at every
 /// SIMD level.
-fn i32_for<const C: usize>(simd: SimdLevel) -> (RowsFn, RowsFn) {
-    match simd {
-        SimdLevel::Scalar => (dense_body::<1, C>, dense_body::<8, C>),
-        SimdLevel::Avx2 => (dense_avx2_shim::<1, C>, dense_avx2_shim::<8, C>),
-        SimdLevel::Avx512 => (dense_avx512_shim::<1, C>, dense_avx512_shim::<8, C>),
-    }
-}
-
-/// Build-time dispatch: maps a layer's column width and the resolved SIMD
-/// level to its `(L = 1, L = 8)` i32 instantiations. Called once per
-/// layer at lowering — never on the frame path.
-pub(crate) fn i32_fns(cols: usize, simd: SimdLevel) -> (RowsFn, RowsFn) {
-    match cols {
-        1 => i32_for::<1>(simd),
-        2 => i32_for::<2>(simd),
-        3 => i32_for::<3>(simd),
-        4 => i32_for::<4>(simd),
-        5 => i32_for::<5>(simd),
-        6 => i32_for::<6>(simd),
-        7 => i32_for::<7>(simd),
-        8 => i32_for::<8>(simd),
-        9 => i32_for::<9>(simd),
-        10 => i32_for::<10>(simd),
-        11 => i32_for::<11>(simd),
-        12 => i32_for::<12>(simd),
-        13 => i32_for::<13>(simd),
-        14 => i32_for::<14>(simd),
-        15 => i32_for::<15>(simd),
-        16 => i32_for::<16>(simd),
-        17 => i32_for::<17>(simd),
-        24 => i32_for::<24>(simd),
-        32 => i32_for::<32>(simd),
-        _ => i32_for::<0>(simd),
-    }
-}
-
-/// Build-time dispatch for the wide (`i64`) fallback family.
-pub(crate) fn wide_fns(simd: SimdLevel) -> (RowsFn, RowsFn) {
-    match simd {
-        SimdLevel::Scalar => (wide_body::<1>, wide_body::<8>),
-        SimdLevel::Avx2 => (wide_avx2_shim::<1>, wide_avx2_shim::<8>),
-        SimdLevel::Avx512 => (wide_avx512_shim::<1>, wide_avx512_shim::<8>),
-    }
+pub(crate) fn wide_fns() -> (RowsFn, RowsFn) {
+    (wide_body::<1>, wide_body::<8>)
 }
 
 /// Exact sum of one pair of products, the scalar twin of one `vpmaddwd`
@@ -669,8 +580,8 @@ mod x86 {
     }
 }
 
-/// Build-time dispatch for the i16-pair family: one runtime-width
-/// instantiation per SIMD level (no width monomorphisation).
+/// Build-time dispatch for the i16-pair family: the `(L = 1, L = 8)`
+/// instantiations at the resolved SIMD level.
 pub(crate) fn pair_fns(simd: SimdLevel) -> (RowsFn, RowsFn) {
     match simd {
         #[cfg(target_arch = "x86_64")]

@@ -14,17 +14,16 @@
 //!   product. The CSR sparse family always multiplies in this class.
 //! * **wide** — `i64` products, for the rare layer that fits neither.
 //!
-//! Every family funnels into `#[inline(always)]` generic bodies,
-//! monomorphised over the lane count `L` (frames or conv positions per
-//! pass) and — for the i32 dense family — the column width `C` (`0` =
-//! runtime width). The planner picks one concrete instantiation per layer
-//! at build time and stores it as a plain function pointer, so the
-//! per-frame hot path performs no dispatch at all. Bit-exactness across
-//! every family rests on one fact: all of them compute the *same multiset*
-//! of exact integer products per output and integer addition is
-//! associative and commutative, so any accumulation order (row-major
-//! scalar, SIMD lanes, pair sums, CSR-skipping zeros) yields the identical
-//! `i64` accumulator.
+//! Every family funnels into `#[inline(always)]` generic bodies at the
+//! layer's runtime width, monomorphised only over the lane count `L`
+//! (frames or conv positions per pass) and instantiated once per SIMD
+//! level. The planner picks one concrete instantiation per layer at build
+//! time and stores it as a plain function pointer, so the per-frame hot
+//! path performs no dispatch at all. Bit-exactness across every family
+//! rests on one fact: all of them compute the *same multiset* of exact
+//! integer products per output and integer addition is associative and
+//! commutative, so any accumulation order (row-major scalar, SIMD lanes,
+//! pair sums, CSR-skipping zeros) yields the identical `i64` accumulator.
 
 pub(crate) mod dense;
 pub(crate) mod fused;
@@ -344,7 +343,7 @@ mod tests {
         let q = Quantizer::new(QFormat::signed(48, 48), Rounding::Truncate, Overflow::Wrap);
         let (rows1, rows8) = match operands {
             Operands::Pairs => pair_fns(simd),
-            _ => i32_fns(cols, simd),
+            _ => i32_fns(simd),
         };
         let pairs = cols.div_ceil(2);
         let w16 = (0..rows * pairs)

@@ -20,11 +20,10 @@
 //!   quantization are pruned into a CSR-by-output-row sparse kernel when
 //!   the measured density warrants it, layers whose operands fit `i16`
 //!   (every layer of a ⟨16,x⟩ build but an odd-channel conv) multiply in
-//!   `i16` pairs with `vpmaddwd`, common column widths of the `i32` family
-//!   are monomorphised over const generics so their loops fully unroll,
-//!   and AVX2 / AVX-512 instantiations are selected by runtime feature
-//!   detection — all stored as plain function pointers, so the per-frame
-//!   path performs no dispatch;
+//!   `i16` pairs with `vpmaddwd`, and AVX2 / AVX-512 instantiations are
+//!   selected by runtime feature detection — one runtime-width body per
+//!   operand class, lane count and SIMD level, stored as plain function
+//!   pointers, so the per-frame path performs no dispatch;
 //! * frames execute **batch-major**: up to `LANES` (8) frames travel
 //!   together through every layer in a lane-interleaved layout, so one
 //!   weight load feeds eight MACs and `batch > 1` *amortises* weight
@@ -150,11 +149,8 @@ pub enum SparsityPolicy {
 /// [`KernelMix::pairs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
-    /// Dense MAC at runtime column width: the `i16`-pair family, or the
-    /// `i32` family at a width without a const instantiation.
+    /// Dense MAC in the `i16`-pair or the `i32` family.
     Dense,
-    /// `i32` dense MAC monomorphised over a const column width.
-    DenseMono,
     /// Wide (`i64`) dense fallback.
     DenseWide,
     /// CSR-by-output-row sparse MAC over exactly-zero-pruned weights.
@@ -168,9 +164,10 @@ pub enum KernelKind {
 /// on the operator console so a fleet shows *which* kernels it is running.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelMix {
-    /// Nodes on the runtime-width narrow dense kernel.
+    /// Nodes on the narrow (`i16`-pair or `i32`) dense kernel.
     pub dense: u32,
-    /// Nodes on a const-width monomorphised dense kernel.
+    /// Always 0. Kept only because the benchmark's layer ledger
+    /// (`benchmark/src/layers.rs`) reads it; the two go together.
     pub mono: u32,
     /// Nodes on the wide (`i64`) fallback kernel.
     pub wide: u32,
@@ -365,8 +362,6 @@ pub struct CompiledFirmware {
     max_rowtmp: usize,
     skip_sizes: Vec<usize>,
     layer_ops: Vec<LayerOps>,
-    /// Per-node kernel family the planner selected.
-    kinds: Vec<KernelKind>,
     mix: KernelMix,
 }
 
@@ -745,18 +740,6 @@ impl CompiledFirmware {
     pub fn kernel_mix(&self) -> KernelMix {
         self.mix
     }
-
-    /// Kernel family chosen for each source node.
-    #[must_use]
-    pub fn layer_kinds(&self) -> &[KernelKind] {
-        &self.kinds
-    }
-
-    /// SIMD level every MAC kernel in this plan was instantiated for.
-    #[must_use]
-    pub fn simd_level(&self) -> SimdLevel {
-        self.mix.simd
-    }
 }
 
 /// Prunes a firmware's MAC weights to a target `density`, deterministic in
@@ -1041,16 +1024,16 @@ mod tests {
         // reads_unet: conv→pool twice and upsample→concat twice.
         assert_eq!(mix.fused, 4, "unexpected fusion count: {mix:?}");
         assert_eq!(mix.data, 6, "pools + upsamples + concats: {mix:?}");
-        assert!(mix.mono >= 1, "k=3 single-channel conv is mono: {mix:?}");
+        assert_eq!(mix.mono, 0, "no kernel is width-monomorphised: {mix:?}");
         assert_eq!(
-            (mix.dense + mix.mono + mix.wide + mix.sparse + mix.data) as usize,
+            (mix.dense + mix.wide + mix.sparse + mix.data) as usize,
             fw.nodes.len(),
             "every node carries a kernel kind"
         );
         // Every dense-like node but the single-channel input conv (odd
-        // in_ch) runs i16 pairs; operand class leaves the kinds alone.
+        // in_ch) runs i16 pairs; that conv runs the i32 dense body.
         assert_eq!(mix.pairs, 5, "pair layers: {mix:?}");
-        assert_eq!(mix.pairs, mix.dense, "pair layers are runtime-width dense");
+        assert_eq!(mix.dense, 6, "pair and i32 layers are dense: {mix:?}");
         let [uniform_18_10, ..] = crate::PrecisionStrategy::table2_rows();
         let wide = convert(
             &models::reads_unet(5),
@@ -1062,7 +1045,7 @@ mod tests {
             wide_mix.pairs, 0,
             "18-bit raws never fit pairs: {wide_mix:?}"
         );
-        assert_eq!(wide_mix.dense + wide_mix.mono, 6);
+        assert_eq!(wide_mix.dense, 6);
         let unfused = CompiledFirmware::lower_with(
             &fw,
             &PlanConfig {

@@ -14,9 +14,8 @@
 //!   weight raws lie in `[−32767, 32767]` multiplies in `i16` pairs
 //!   (`vpmaddwd`), unless it is sparse or a conv with odd `in_ch`; else
 //!   in `i32`; else in `i64` ([`operand_class`]).
-//! * **Monomorphisation** — `i32` layers whose column width has a
-//!   dedicated const-generic instantiation get it; the rest use the
-//!   runtime-width body. The selected `(L = 1, L = 8)` function pointers
+//! * **Instantiation** — every family has one runtime-width body per lane
+//!   count and SIMD level. The selected `(L = 1, L = 8)` function pointers
 //!   are stored on the layer — dispatch happens here, never per frame.
 //! * **SIMD** — the highest instruction set both the CPU (runtime
 //!   detection) and [`PlanConfig::simd`] allow is chosen for every MAC
@@ -149,9 +148,8 @@ fn operand_class(w: &[i64], in_bound: i64, pairable: bool) -> Operands {
 }
 
 /// Lowers one dense-like kernel given the input grid and raw bound, and
-/// plans its MAC instantiation (operand class, sparse vs dense, mono vs
-/// generic width, SIMD level). `pairable` is false for a conv whose
-/// `in_ch` is odd.
+/// plans its MAC instantiation (operand class, sparse vs dense, SIMD
+/// level). `pairable` is false for a conv whose `in_ch` is odd.
 fn lower_dense(
     d: &FwDense,
     in_grid: i32,
@@ -237,14 +235,11 @@ fn lower_dense(
         SparsityPolicy::Auto => density <= cfg.density_threshold,
     };
     // The CSR lanes multiply in i32, so a sparse layer takes that class
-    // even when its operands would fit pairs. The pair family has one
-    // runtime-width instantiation, so a pair layer is `Dense`.
+    // even when its operands would fit pairs.
     let (operands, kind) = match fit {
         Operands::Wide => (Operands::Wide, KernelKind::DenseWide),
         _ if want_sparse => (Operands::I32, KernelKind::Sparse),
-        Operands::Pairs => (Operands::Pairs, KernelKind::Dense),
-        Operands::I32 if dense::is_mono(d.cols) => (Operands::I32, KernelKind::DenseMono),
-        Operands::I32 => (Operands::I32, KernelKind::Dense),
+        narrow => (narrow, KernelKind::Dense),
     };
 
     let (rows1, rows8) = match (operands, kind) {
@@ -255,10 +250,10 @@ fn lower_dense(
         // columnar vectorisation a dense row gives, so a sparse layer
         // keeps the i32 dense body there. Both compute the identical sum —
         // pruned weights are exactly zero.
-        (_, KernelKind::Sparse) => (dense::i32_fns(d.cols, simd).0, sparse::rows8(simd)),
-        (Operands::Wide, _) => dense::wide_fns(simd),
+        (_, KernelKind::Sparse) => (dense::i32_fns(simd).0, sparse::rows8(simd)),
+        (Operands::Wide, _) => dense::wide_fns(),
         (Operands::Pairs, _) => dense::pair_fns(simd),
-        (Operands::I32, _) => dense::i32_fns(d.cols, simd),
+        (Operands::I32, _) => dense::i32_fns(simd),
     };
 
     // One weight store per layer, the one its operand class reads (plus
@@ -668,7 +663,6 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
     for k in &kinds {
         match k {
             KernelKind::Dense => mix.dense += 1,
-            KernelKind::DenseMono => mix.mono += 1,
             KernelKind::DenseWide => mix.wide += 1,
             KernelKind::Sparse => mix.sparse += 1,
             KernelKind::Data => mix.data += 1,
@@ -692,7 +686,6 @@ pub(super) fn lower_with(fw: &Firmware, cfg: &PlanConfig) -> CompiledFirmware {
         max_rowtmp,
         skip_sizes,
         layer_ops,
-        kinds,
         mix,
     }
 }

@@ -11,7 +11,6 @@
 //!   backprop), nearest-neighbour `upsample1d`, channel `concat`.
 //! * [`activ`] — ReLU / Sigmoid / identity and derivatives, plus the
 //!   piecewise-linear sigmoid lookup table hls4ml synthesizes in firmware.
-//! * [`batch`] — rayon-parallel batch evaluation helpers.
 //!
 //! Everything is `f64`. The paper's float reference is Keras `float32`; using
 //! `f64` here only makes the "float reference" *more* exact, and the
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod activ;
-pub mod batch;
 pub mod fm;
 pub mod mat;
 pub mod ops;

@@ -1,8 +1,7 @@
 //! Kernel conformance suite: every specialised kernel the planner can
-//! select — monomorphised dense (const widths 1–17), runtime-width dense,
-//! wide-i64 dense, CSR sparse, and the fused conv→pool / upsample→concat
-//! kernels — against the interpreter's i64 scalar reference, at every
-//! SIMD level the host can reach.
+//! select — i16-pair dense, i32 dense, wide-i64 dense, CSR sparse, and the
+//! fused conv→pool / upsample→concat kernels — against the interpreter's
+//! i64 scalar reference, at every SIMD level the host can reach.
 //!
 //! The contract under test is the engine's foundation: every kernel
 //! computes the *identical* integer sum (pruning skips only exact zeros;
@@ -10,8 +9,8 @@
 //! exact), so outputs **and overflow counters** must match the
 //! interpreter bit-for-bit on every plan. The matrix crosses:
 //!
-//! * in/out widths 1–17 (every monomorphised width plus the runtime
-//!   fallback via the hidden layer),
+//! * in/out widths 1–17 (every row-block and pair-padding tail of the
+//!   runtime-width bodies) around a hidden width of 19,
 //! * weight density 0 / 25 / 50 / 100 % (post-quantization zero masks;
 //!   density 0 is the bias-only degenerate network),
 //! * batch 1 / 7 / 8 / 9 (pure remainder, exactly one 8-frame lane pass,
@@ -30,6 +29,8 @@
 //! widths (a zero-padded last pair), row counts that leave a tail after
 //! the 4-row blocks, an odd-`in_ch` conv and a −32768 weight raw (both
 //! stay on i32), and an ⟨18,10⟩ build that runs no pair layer at all.
+//! A ⟨40,20⟩ build, whose 40-bit raws fit no narrower class, runs the
+//! wide family.
 //!
 //! The deterministic tests sweep the full width × density × batch × plan
 //! matrix; the proptest layer then fuzzes random corners of the same
@@ -76,9 +77,7 @@ fn bias(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Two-layer MLP: `in_w → hidden (relu) → out_w (sigmoid)`. With
-/// `hidden = 19` the second layer exercises the runtime-width dense
-/// fallback while the first sweeps the monomorphised widths.
+/// Two-layer MLP: `in_w → hidden (relu) → out_w (sigmoid)`.
 fn tiny_mlp(in_w: usize, hidden: usize, out_w: usize, density_pct: u32, seed: u64) -> Model {
     let layers = vec![
         Layer::Dense(DenseParams {
@@ -295,8 +294,7 @@ fn assert_conforms(fw: &Firmware, cfg: &PlanConfig, batch: usize, salt: u64, amp
 }
 
 /// Widths 1–17 × density × every plan, batch sizes spanning remainder and
-/// lane-pass paths. The hidden width 19 keeps the mid layer on the
-/// runtime-width fallback so both dense families run in the same net.
+/// lane-pass paths, around a hidden layer of width 19.
 #[test]
 fn dense_kernels_match_reference_across_widths_and_densities() {
     for width in 1..=17usize {
@@ -514,11 +512,7 @@ fn odd_in_ch_convs_stay_on_i32() {
     let fw = lower_to_firmware(&conv_pool_net(17, 3, 2, 100, 5));
     let mix = CompiledFirmware::lower_with(&fw, &dense).kernel_mix();
     assert_eq!(mix.pairs, 2, "the in_ch 6 conv and the head: {mix:?}");
-    assert_eq!(
-        mix.dense + mix.mono,
-        4,
-        "every conv is still dense: {mix:?}"
-    );
+    assert_eq!(mix.dense, 4, "every conv is still dense: {mix:?}");
     let frames: Vec<Vec<f64>> = (0..9).map(|f| frame(34, f, 40.0)).collect();
     assert_frames_conform(&fw, &frames, "odd in_ch conv net");
 }
@@ -540,6 +534,31 @@ fn uniform_18_10_runs_no_pair_layer() {
     }
     let paper = lower_to_firmware(&tiny_mlp(259, 518, 2, 100, 3));
     assert_eq!(pair_layers(&paper, &PlanConfig::default()), 2);
+}
+
+/// A ⟨40,20⟩ uniform build: every raw bound is 2³⁹, beyond `i32`, so both
+/// layers run the wide (`i64`) family on every plan. Weight raws in
+/// [−600, 600] keep each row's bound (≤ 12·600·2³⁹ < 2⁵²) inside the
+/// f64-exactness domain. Frames at 5·10³ carry input raws beyond `i32`,
+/// and frames at 10⁶ overflow the input's 20 integer bits.
+#[test]
+fn forty_bit_raws_run_the_wide_family() {
+    let cfg = HlsConfig::with_strategy(PrecisionStrategy::Uniform(QFormat::signed(40, 20)));
+    let mut fw = lower_with_config(&tiny_mlp(9, 12, 5, 100, 23), &cfg);
+    for node in [0, 1] {
+        set_weight_raws(&mut fw, node, |i| {
+            ((i * 37 + node * 11) % 1201) as i64 - 600
+        });
+    }
+    for plan in plans() {
+        let mix = CompiledFirmware::lower_with(&fw, &plan).kernel_mix();
+        assert_eq!(mix.wide, 2, "both layers are wide under {plan:?}: {mix:?}");
+    }
+    let frames: Vec<Vec<f64>> = (0..9)
+        .map(|f| frame(9, f, [2.0, 5.0e3, 1.0e6][f as usize % 3]))
+        .collect();
+    assert!(reference(&fw, &frames).1.total_overflows() > 0);
+    assert_frames_conform(&fw, &frames, "uniform <40,20>");
 }
 
 proptest! {
